@@ -148,7 +148,7 @@ struct FrontierResult {
 
 /// Base for heuristics that place a whole lookahead window per round. The
 /// inherited per-CandidateView entry point stays available (and is used for
-/// API-mode tasks, shard calls and plain ready-only rounds), so a
+/// API-mode tasks and plain ready-only rounds), so a
 /// LookaheadScheduler is always a drop-in Scheduler.
 class LookaheadScheduler : public Scheduler {
  public:

@@ -28,10 +28,10 @@ class RoundRobinScheduler final : public Scheduler {
   using Scheduler::schedule;
   [[nodiscard]] std::string_view name() const noexcept override { return "RR"; }
   ScheduleResult schedule(CandidateView& view) override;
-  /// Fast path: RR never reads the view's cost side, so the unrestricted
-  /// round skips CandidateView construction and probes PEs directly (the
-  /// pre-view flat path). Assignments and comparison counts are identical
-  /// to the view path; tests/test_sched_lookahead.cpp asserts it.
+  /// Fast path: RR never reads the view's cost side, so the round skips
+  /// CandidateView construction and probes PEs directly (the pre-view flat
+  /// path). Assignments and comparison counts are identical to the view
+  /// path; tests/test_sched_lookahead.cpp asserts it.
   ScheduleResult schedule(std::span<const ReadyTask> ready,
                           std::span<PeState> pes,
                           const ScheduleContext& ctx) override;

@@ -54,7 +54,7 @@ struct PeState {
   double speed = 1.0;
   /// Fault-tolerance: the PE is quarantined after repeated faults and must
   /// receive no assignments this round. Every heuristic excludes it from
-  /// its candidate set (the runtime re-admits the PE for probe rounds).
+  /// its candidate set (the policy engine re-admits the PE for probes).
   bool quarantined = false;
 };
 
@@ -87,9 +87,10 @@ struct ScheduleResult {
 ///     skipped up front instead of being probed one by one;
 ///   * per-(task, class) cost estimates evaluated once per class instead of
 ///     once per PE — the arithmetic (class estimate / pe.speed) is identical
-///     to the legacy per-pair evaluation, so assignments are unchanged;
-///   * an optional class restriction (`admit_mask`) so a heuristic can be
-///     invoked per-shard over a subset of the PE pool.
+///     to the legacy per-pair evaluation, so assignments are unchanged.
+///
+/// A caller restricts a round to part of the PE pool by passing only those
+/// PEs' states.
 ///
 /// Two eligibility predicates exist because the heuristics historically used
 /// two: RR and RANDOM probe nominal kernel support
@@ -109,20 +110,16 @@ struct ScheduleResult {
 /// for a single cost-table lookup.
 class CandidateView {
  public:
-  static constexpr std::uint32_t kAdmitAll = 0xffffffffu;
-
   CandidateView() = default;
   CandidateView(std::span<const ReadyTask> ready, std::span<PeState> pes,
-                const ScheduleContext& ctx,
-                std::uint32_t admit_mask = kAdmitAll) {
-    reset(ready, pes, ctx, admit_mask);
+                const ScheduleContext& ctx) {
+    reset(ready, pes, ctx);
   }
 
   /// Rebuilds the view for a new round, reusing internal buffer capacity.
   /// The spans must stay valid for as long as the view is read.
   void reset(std::span<const ReadyTask> ready, std::span<PeState> pes,
-             const ScheduleContext& ctx,
-             std::uint32_t admit_mask = kAdmitAll);
+             const ScheduleContext& ctx);
 
   [[nodiscard]] std::span<const ReadyTask> ready() const noexcept {
     return ready_;
@@ -130,44 +127,26 @@ class CandidateView {
   [[nodiscard]] std::span<PeState> pes() const noexcept { return pes_; }
   [[nodiscard]] const ScheduleContext& ctx() const noexcept { return *ctx_; }
 
-  /// Queue indices admitted by the view, in queue order. An unrestricted
-  /// view admits every task — including unassignable ones, which the legacy
-  /// comparison formulas count — so `tasks().size()` is the Q of those
-  /// formulas (served from a shared iota table, not per-round stores). A
-  /// restricted view admits only tasks eligible on an admitted class.
+  /// Queue indices, in queue order: every task, including unassignable
+  /// ones, which the legacy comparison formulas count — so `tasks().size()`
+  /// is the Q of those formulas (served from a shared iota table, not
+  /// per-round stores).
   [[nodiscard]] std::span<const std::size_t> tasks() const noexcept {
     return task_span_;
   }
 
-  /// Number of PEs in the admitted pool, quarantined included — the P of
-  /// the legacy comparison formulas (pes().size() when unrestricted).
-  [[nodiscard]] std::size_t pe_count() const noexcept {
-    return admitted_slots_.size();
-  }
-
-  /// Admitted PE slots (indices into pes()), ascending, quarantined
-  /// included — RR's rotation space.
-  [[nodiscard]] std::span<const std::size_t> admitted_slots() const noexcept {
-    return admitted_slots_;
-  }
-
-  /// Rotation position of an admitted slot within admitted_slots().
-  [[nodiscard]] std::size_t rotation_position(std::size_t slot) const noexcept;
-
-  /// Admitted, non-quarantined PE slots of one class, ascending.
-  [[nodiscard]] std::span<const std::size_t> class_slots(
-      platform::PeClass cls) const noexcept {
-    return class_slots_[static_cast<std::size_t>(cls)];
-  }
+  /// Number of PEs, quarantined included — the P of the legacy comparison
+  /// formulas and RR's rotation space.
+  [[nodiscard]] std::size_t pe_count() const noexcept { return pes_.size(); }
 
   /// Slots where task q may run under the support predicate (RR/RANDOM):
-  /// admitted && !quarantined && pe_class_supports && allowed_on. Ascending.
+  /// !quarantined && pe_class_supports && allowed_on. Ascending.
   [[nodiscard]] std::span<const std::size_t> support_eligible(
       std::size_t q) const {
     return merged_slots(support_mask_[q]);
   }
   /// Slots where task q may run under the cost predicate (EFT/ETF/HEFT_RT/
-  /// MET): admitted && !quarantined && allowed_on && finite estimate.
+  /// MET): !quarantined && allowed_on && finite estimate.
   [[nodiscard]] std::span<const std::size_t> cost_eligible(
       std::size_t q) const {
     return merged_slots(cost_mask(q));
@@ -177,9 +156,7 @@ class CandidateView {
     return support_mask_[q];
   }
   [[nodiscard]] std::uint32_t cost_mask(std::size_t q) const {
-    const std::uint32_t allowed =
-        ready_[q].class_mask & admit_mask_ & kClassBits;
-    return kind_costs(q).finite_mask & allowed;
+    return kind_costs(q).finite_mask & ready_[q].class_mask & kClassBits;
   }
 
   /// Cached class-table estimate for (task q, class cls), in seconds at
@@ -203,9 +180,6 @@ class CandidateView {
   class_estimates(std::size_t q) const {
     return kind_costs(q).est;
   }
-
-  /// Finish time of task q started on `pe` no earlier than ctx().now.
-  [[nodiscard]] double finish_time_on(std::size_t q, const PeState& pe) const;
 
  private:
   /// One distinct (kernel, size, bytes) shape in this round's queue. DAG
@@ -247,14 +221,10 @@ class CandidateView {
   std::span<const ReadyTask> ready_;
   std::span<PeState> pes_;
   const ScheduleContext* ctx_ = nullptr;
-  std::uint32_t admit_mask_ = kAdmitAll;
   std::uint32_t slotted_classes_ = 0;  ///< classes with >= 1 eligible slot
 
-  std::vector<std::size_t> task_indices_;  ///< restricted views only
-  std::vector<std::size_t> iota_;          ///< grown monotonically, 0..max Q
+  std::vector<std::size_t> iota_;  ///< grown monotonically, 0..max Q
   std::span<const std::size_t> task_span_;
-  std::vector<std::size_t> admitted_slots_;
-  bool admitted_is_identity_ = true;
   std::array<std::vector<std::size_t>, platform::kNumPeClasses> class_slots_;
   std::vector<std::uint8_t> support_mask_;
 
@@ -282,7 +252,7 @@ class Scheduler {
   /// Assigns ready tasks to PEs. Implementations must only produce
   /// assignments where the PE class supports the task's kernel, and should
   /// assign every assignable task (CEDR drains its ready queue each round).
-  /// Builds an unrestricted CandidateView and runs the heuristic over it;
+  /// Builds a CandidateView and runs the heuristic over it;
   /// assignments and `comparisons` are identical to the historical
   /// direct-scan implementations. Virtual so a heuristic that never reads
   /// the view's cost side (RR) can skip building it entirely — overrides
@@ -295,19 +265,6 @@ class Scheduler {
     // nothing. Heuristics never re-enter schedule() from schedule(view).
     thread_local CandidateView view;
     view.reset(ready, pes, ctx);
-    return schedule(view);
-  }
-
-  /// Per-shard invocation: restricts candidates to PE classes in
-  /// `class_mask` (bit per platform::PeClass). Tasks not eligible on an
-  /// admitted class are skipped entirely and `comparisons` is accounted
-  /// against the restricted pool (docs/scheduling.md).
-  ScheduleResult schedule_shard(std::span<const ReadyTask> ready,
-                                std::span<PeState> pes,
-                                const ScheduleContext& ctx,
-                                std::uint32_t class_mask) {
-    thread_local CandidateView view;
-    view.reset(ready, pes, ctx, class_mask);
     return schedule(view);
   }
 

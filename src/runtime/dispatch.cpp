@@ -4,14 +4,13 @@
 // tasks on the emulated PEs.
 //
 // The round runs on the main event-loop thread with no global lock: the
-// queue snapshot takes per-shard leaf locks, PE health is read under
-// health_mutex, and everything else it touches is main-loop private
-// (runtime_impl.h).
+// queue snapshot takes per-shard leaf locks, probe dispatch changes PE
+// health under health_mutex, and everything else it touches is main-loop
+// private (runtime_impl.h). Probe admission, availability, the cost view
+// and reservations come from the policy engine.
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <limits>
 #include <utility>
 
 #include "cedr/common/log.h"
@@ -34,19 +33,15 @@ void Runtime::run_scheduling_round() {
   // Release deferred retries whose backoff has elapsed. The re-push
   // recomputes the effective class mask, so the retry's failed-class
   // narrowing takes effect on its new shard placement.
-  if (!impl_->deferred.empty()) {
+  sched::PolicyEngine& policy = impl_->policy;
+  if (policy.deferred_count() != 0) {
     const double release_now = now();
-    std::deque<std::shared_ptr<InFlightTask>> still_waiting;
-    for (auto& t : impl_->deferred) {
-      if (t->retry_at <= release_now) {
-        t->enqueue_time = release_now;
-        impl_->push_ready(std::move(t));
-      } else {
-        still_waiting.push_back(std::move(t));
-      }
-    }
-    impl_->deferred = std::move(still_waiting);
-    impl_->deferred_count.store(impl_->deferred.size(),
+    policy.release_due(release_now, [&](std::shared_ptr<void> task) {
+      auto inflight = std::static_pointer_cast<InFlightTask>(std::move(task));
+      inflight->enqueue_time = release_now;
+      impl_->push_ready(std::move(inflight));
+    });
+    impl_->deferred_count.store(policy.deferred_count(),
                                 std::memory_order_relaxed);
   }
   if (impl_->ready.size() == 0) return;
@@ -60,37 +55,14 @@ void Runtime::run_scheduling_round() {
   if (snap.empty()) return;
 
   const double t_now = now();
-  std::vector<sched::PeState> pe_states;
-  pe_states.reserve(impl_->workers.size());
-  {
-    std::lock_guard health(impl_->health_mutex);
-    for (std::size_t i = 0; i < impl_->workers.size(); ++i) {
-      const Worker& w = *impl_->workers[i];
-      // A quarantined PE is hidden from the heuristic, except when its
-      // probe window is open: then it is admitted so one probe task can
-      // test it.
-      bool excluded = w.quarantined;
-      if (excluded && !w.probe_inflight && t_now >= w.probe_at) {
-        excluded = false;
-      }
-      pe_states.push_back(sched::PeState{
-          .pe_index = i,
-          .cls = w.pe.cls,
-          .available_time = std::max(t_now, impl_->pe_available[i]),
-          .speed = w.pe.speed_factor,
-          .quarantined = excluded,
-      });
-    }
-  }
-
+  const std::span<sched::PeState> pe_states = policy.round_pes(t_now);
   // With adaptation on, the round schedules against the latest published
   // cost snapshot — one lock-free shared_ptr load, held for the whole round
   // so every finish_time_on comparison sees one consistent table.
   const std::shared_ptr<const platform::CostModel> learned =
       adapt_ != nullptr ? adapt_->snapshot() : nullptr;
-  const sched::ScheduleContext ctx{
-      .now = t_now,
-      .costs = learned != nullptr ? learned.get() : &config_.platform.costs};
+  const sched::ScheduleContext ctx{.now = t_now,
+                                   .costs = policy.cost_view(learned.get())};
   sched::ScheduleResult result;
   double decision_time = 0.0;
   if (lookahead_ != nullptr) {
@@ -98,16 +70,7 @@ void Runtime::run_scheduling_round() {
     // snapshot into the visible DAG window, place it in one pass, dispatch
     // the ready prefix now and remember the rest as reservations.
     Stopwatch round_watch;
-    // A cost-table change (adapt snapshot publish) invalidates every
-    // outstanding reservation: they were priced against the old table.
-    if (ctx.costs != impl_->last_cost_table) {
-      if (impl_->last_cost_table != nullptr) ++impl_->reservation_epoch;
-      impl_->last_cost_table = ctx.costs;
-    }
-    sched::Frontier& frontier = impl_->frontier;
-    frontier.reset(pe_states, ctx);
-    for (const sched::ReadyTask& view : snap.views) frontier.add_ready(view);
-    impl_->frontier_meta.clear();
+    sched::Frontier& frontier = policy.open_window(snap.views, ctx);
     if (config_.lookahead_depth > 0) {
       impl_->build_lookahead_window(*this, snap, t_now);
     }
@@ -116,18 +79,7 @@ void Runtime::run_scheduling_round() {
     decision_time = decision.elapsed();
     result.assignments = std::move(window.assignments);
     result.comparisons = window.comparisons;
-    // Reservations overwrite earlier rounds' decisions for the same task —
-    // the freshest window saw the freshest PE availability.
-    for (const sched::Reservation& r : window.reservations) {
-      impl_->reservations[Impl::reservation_key(
-          impl_->frontier_meta[r.window_index - snap.size()].first,
-          impl_->frontier_meta[r.window_index - snap.size()].second)] =
-          Impl::ReservationEntry{
-              .pe_index = r.pe_index,
-              .predicted_finish = r.predicted_finish,
-              .epoch = impl_->reservation_epoch,
-          };
-    }
+    policy.reserve(window.reservations);
     count("sched.reservations_made", window.reservations.size());
     metrics_.set_gauge("sched.frontier_size",
                        static_cast<double>(frontier.size()));
@@ -137,6 +89,7 @@ void Runtime::run_scheduling_round() {
     result = scheduler_->schedule(snap.views, pe_states, ctx);
     decision_time = decision.elapsed();
   }
+  policy.commit_round();
   trace_.add_sched(trace::SchedRecord{
       .time = t_now,
       .ready_tasks = snap.size(),
@@ -161,12 +114,9 @@ void Runtime::run_scheduling_round() {
   {
     std::lock_guard health(impl_->health_mutex);
     for (const sched::Assignment& a : result.assignments) {
-      Worker& w = *impl_->workers[a.pe_index];
-      if (w.quarantined) {
-        if (w.probe_inflight) continue;  // one probe at a time
-        w.probe_inflight = true;
-        count("probes_dispatched");
-      }
+      const sched::DispatchGate gate = policy.gate(a.pe_index);
+      if (gate == sched::DispatchGate::kHold) continue;  // one probe at a time
+      if (gate == sched::DispatchGate::kProbe) count("probes_dispatched");
       const sched::ReadyQueueShards::Entry& entry = snap.entries[a.queue_index];
       batches[a.pe_index].push_back(
           std::static_pointer_cast<InFlightTask>(entry.payload));
@@ -187,35 +137,15 @@ void Runtime::run_scheduling_round() {
     // round, instead of one of each per task.
     impl_->workers[i]->mailbox.push_batch(std::span(batches[i]));
   }
-  for (const sched::PeState& pe : pe_states) {
-    impl_->pe_available[pe.pe_index] = pe.available_time;
-  }
   if (dispatched == 0 && impl_->ready.size() != 0) {
     // Nothing moved: block further rounds until the state epoch changes or
     // the earliest timer that could free a PE / release a retry fires.
-    double until = std::numeric_limits<double>::infinity();
-    for (const auto& t : impl_->deferred) {
-      until = std::min(until, t->retry_at);
-    }
-    {
-      std::lock_guard health(impl_->health_mutex);
-      for (const auto& w : impl_->workers) {
-        if (w->quarantined && !w->probe_inflight) {
-          until = std::min(until, w->probe_at);
-        }
-      }
-    }
     impl_->sched_blocked = true;
     impl_->sched_blocked_epoch = pre_snapshot_epoch;
-    impl_->sched_blocked_until = until;
+    impl_->sched_blocked_until =
+        std::min(policy.next_release(), policy.next_probe());
   }
 }
-
-namespace {
-/// Bound on lookahead tasks added per round, so a wide burst of deep DAGs
-/// cannot make one round's window (and its placement cost) unbounded.
-constexpr std::size_t kMaxLookaheadTasks = 512;
-}  // namespace
 
 void Runtime::Impl::build_lookahead_window(
     Runtime& rt, const sched::ReadyQueueShards::Snapshot& snap, double t_now) {
@@ -261,11 +191,7 @@ void Runtime::Impl::build_lookahead_window(
         // make lookahead rounds quadratically more expensive than the
         // rounds they replace. (Its own successors stay out of the window
         // too — their predecessor is no longer inside it.)
-        const auto held = reservations.find(key);
-        if (held != reservations.end() &&
-            held->second.epoch == reservation_epoch) {
-          continue;
-        }
+        if (policy.reserved(key)) continue;
         const std::uint32_t remaining = item.app->remaining_preds[succ];
         if (remaining == 0) continue;  // released while this round ran
         pred_window.clear();
@@ -275,29 +201,26 @@ void Runtime::Impl::build_lookahead_window(
         }
         if (pred_window.size() != remaining) continue;
         const task::Task& t = item.app->dag->graph.tasks()[succ];
-        // Same class-mask derivation as ready_item(): classes with a bound
-        // implementation; a fresh task has no failed classes to narrow by.
-        std::uint32_t mask = 0;
-        for (std::size_t c = 0; c < platform::kNumPeClasses; ++c) {
-          if (item.app->impls[succ][c]) mask |= 1u << c;
-        }
-        if (mask == 0) mask = 0xffffffffu;
-        const std::size_t window_index = frontier.add_lookahead(
+        const std::size_t window_index = policy.add_lookahead(
+            key,
             sched::ReadyTask{
-                .task_key = 0,  // not yet in flight; identity via frontier_meta
+                .task_key = 0,  // not yet in flight; identity via its key
                 .app_instance_id = item.app->id,
                 .kernel = t.kernel,
                 .problem_size = t.problem_size,
                 .data_bytes = t.data_bytes,
                 .ready_time = t_now,
                 .rank = plan.ranks[succ],
-                .class_mask = mask,
+                // A fresh task has no failed classes to narrow by.
+                .class_mask = impl_class_mask(item.app->impls[succ]),
             },
             depth, pred_window);
         window_of[key] = window_index;
-        frontier_meta.emplace_back(item.app->id, succ);
         next.push_back({item.app, succ});
-        if (frontier_meta.size() >= kMaxLookaheadTasks) return;
+        if (policy.lookahead_count() >=
+            sched::PolicyEngine::kMaxLookaheadTasks) {
+          return;
+        }
       }
     }
     level.swap(next);
@@ -436,7 +359,7 @@ void Runtime::worker_loop(Worker& worker) {
         .enqueue_time = task->enqueue_time,
         .start_time = start,
         .end_time = end,
-        .attempt = task->attempt,
+        .attempt = task->retry.attempt,
         .ok = status.ok(),
     });
     count("tasks_executed");
@@ -449,7 +372,7 @@ void Runtime::worker_loop(Worker& worker) {
                  0, 1 + worker.pe_index, start, task->key);
     tracer_.complete_span(obs::Category::kWorker, task->name.c_str(), 0,
                           1 + worker.pe_index, start, end - start, "attempt",
-                          static_cast<double>(task->attempt), "ok",
+                          static_cast<double>(task->retry.attempt), "ok",
                           status.ok() ? 1.0 : 0.0);
     // Fig. 4: the worker signals the sleeping application thread directly —
     // but only on success. Failures first go through the main loop's retry

@@ -1,14 +1,14 @@
 // The main event loop and completion processing: worker-reported results
-// drive PE health (quarantine/probe), bounded retry with backoff, DAG
-// successor release and application completion. This TU owns the ready
-// state transitions; the scheduling round itself lives in dispatch.cpp.
+// go through the policy engine (PE health, bounded retry with backoff,
+// reservation honouring), then drive DAG successor release and application
+// completion. This TU owns the ready state transitions; the scheduling
+// round itself lives in dispatch.cpp.
 //
 // Locking (runtime_impl.h): completion records are drained under the leaf
 // event_mutex, then processed with health_mutex (PE health) and app_mutex
 // (lifecycle) taken separately and never together with event_mutex held.
 
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 #include "cedr/common/log.h"
@@ -37,7 +37,7 @@ void Runtime::main_loop() {
           });
       if (impl_->stopping.load(std::memory_order_relaxed) &&
           impl_->completions.empty() && impl_->ready.size() == 0 &&
-          impl_->deferred.empty()) {
+          impl_->policy.deferred_count() == 0) {
         break;
       }
     }
@@ -67,108 +67,79 @@ void Runtime::process_completions() {
   // collected here per worker across the whole batch, dispatched with one
   // push_batch per touched worker after the loop (no re-decision round).
   std::vector<std::vector<std::shared_ptr<InFlightTask>>> reserved_batches;
-  const platform::FaultPolicy& policy = config_.fault_plan.policy;
+  sched::PolicyEngine& policy = impl_->policy;
   for (Impl::CompletionRecord& rec : batch) {
     // Every completion changes PE health or releases work: any blocked
     // scheduling state is stale now.
     impl_->sched_epoch.fetch_add(1, std::memory_order_relaxed);
     std::shared_ptr<InFlightTask> inflight = std::move(rec.task);
     const Status status = std::move(rec.status);
-    Worker& worker = *impl_->workers[rec.pe_index];
+    const Worker& worker = *impl_->workers[rec.pe_index];
+    const std::size_t pe = rec.pe_index;
     const double t_now = now();
 
     if (!status.ok()) {
+      tracer_.instant(obs::Category::kFault, "fault", 0, 1 + pe, t_now,
+                      "attempt", static_cast<double>(inflight->retry.attempt));
+      sched::FailureOutcome out;
       {
-        // --- PE health: consecutive faults drive quarantine. ---------------
         std::lock_guard health(impl_->health_mutex);
-        ++worker.faults_seen;
-        tracer_.instant(obs::Category::kFault, "fault", 0,
-                        1 + worker.pe_index, t_now, "attempt",
-                        static_cast<double>(inflight->attempt));
-        if (worker.quarantined) {
-          // A failed probe: the PE stays out; schedule the next probe window.
-          worker.probe_inflight = false;
-          worker.probe_at = t_now + policy.probe_period_s;
-          count("probes_failed");
-          tracer_.instant(obs::Category::kFault, "probe_failed", 0,
-                          1 + worker.pe_index, t_now);
-        } else {
-          ++worker.consecutive_faults;
-          if (policy.quarantine_threshold > 0 &&
-              worker.consecutive_faults >= policy.quarantine_threshold) {
-            worker.quarantined = true;
-            worker.probe_inflight = false;
-            worker.probe_at = t_now + policy.probe_period_s;
-            ++worker.quarantines;
-            // Reservations priced this PE as healthy: all stale now.
-            ++impl_->reservation_epoch;
-            count("pes_quarantined");
-            tracer_.instant(obs::Category::kFault, "pe_quarantined", 0,
-                            1 + worker.pe_index, t_now, "consecutive_faults",
-                            static_cast<double>(worker.consecutive_faults));
-            CEDR_LOG(kWarn, kLogTag)
-                << "PE " << worker.pe.name << " quarantined after "
-                << worker.consecutive_faults << " consecutive faults";
-          }
-        }
+        out = policy.on_failure(pe, inflight->retry, inflight, t_now);
       }
-      // --- Bounded retry with exponential backoff. -------------------------
-      // Remember the class that failed so the retry prefers a different PE
-      // type (graceful degradation: a quarantined accelerator's work lands
-      // on the CPU implementation through the same dispatch table).
-      inflight->failed_class_mask |=
-          1u << static_cast<unsigned>(worker.pe.cls);
-      if (inflight->attempt < policy.max_retries) {
-        ++inflight->attempt;
+      if (out.health == sched::HealthTransition::kProbeFailed) {
+        count("probes_failed");
+        tracer_.instant(obs::Category::kFault, "probe_failed", 0, 1 + pe,
+                        t_now);
+      } else if (out.health == sched::HealthTransition::kQuarantined) {
+        const std::uint32_t streak = policy.health(pe).consecutive_faults;
+        count("pes_quarantined");
+        tracer_.instant(obs::Category::kFault, "pe_quarantined", 0, 1 + pe,
+                        t_now, "consecutive_faults",
+                        static_cast<double>(streak));
+        CEDR_LOG(kWarn, kLogTag) << "PE " << worker.pe.name
+                                 << " quarantined after " << streak
+                                 << " consecutive faults";
+      }
+      if (out.retry) {
         count("tasks_retried");
-        const double backoff =
-            policy.backoff_base_s *
-            std::pow(policy.backoff_factor,
-                     static_cast<double>(inflight->attempt - 1));
-        inflight->retry_at = t_now + backoff;
-        tracer_.instant(obs::Category::kFault, "retry_backoff", 0,
-                        1 + worker.pe_index, t_now, "attempt",
-                        static_cast<double>(inflight->attempt), "backoff_s",
-                        backoff);
-        impl_->deferred.push_back(std::move(inflight));
-        impl_->deferred_count.store(impl_->deferred.size(),
+        tracer_.instant(obs::Category::kFault, "retry_backoff", 0, 1 + pe,
+                        t_now, "attempt",
+                        static_cast<double>(inflight->retry.attempt),
+                        "backoff_s", out.backoff_s);
+        impl_->deferred_count.store(policy.deferred_count(),
                                     std::memory_order_relaxed);
         continue;  // not terminal: no successor release, no app signal
       }
       // Terminal failure: retries exhausted. Only now does the failure
       // become visible to the application.
       count("tasks_failed");
-      tracer_.instant(obs::Category::kFault, "task_failed", 0,
-                      1 + worker.pe_index, t_now, "attempts",
-                      static_cast<double>(inflight->attempt + 1));
+      tracer_.instant(obs::Category::kFault, "task_failed", 0, 1 + pe, t_now,
+                      "attempts",
+                      static_cast<double>(inflight->retry.attempt + 1));
       CEDR_LOG(kWarn, kLogTag)
           << "task '" << inflight->name << "' failed after "
-          << (inflight->attempt + 1)
+          << (inflight->retry.attempt + 1)
           << " attempts: " << status.to_string();
       if (inflight->completion) inflight->completion->signal(status);
     } else {
       // --- Success: reset health, reinstate a probed PE, book recovery. ----
+      sched::HealthTransition health;
       {
-        std::lock_guard health(impl_->health_mutex);
-        worker.consecutive_faults = 0;
-        worker.probe_inflight = false;
-        if (worker.quarantined) {
-          worker.quarantined = false;
-          // The PE pool changed under outstanding reservations: windows
-          // placed without this PE would have decided differently.
-          ++impl_->reservation_epoch;
-          count("pes_reinstated");
-          tracer_.instant(obs::Category::kFault, "pe_reinstated", 0,
-                          1 + worker.pe_index, t_now);
-          CEDR_LOG(kInfo, kLogTag)
-              << "PE " << worker.pe.name << " reinstated after probe success";
-        }
+        std::lock_guard lock(impl_->health_mutex);
+        health = policy.on_success(pe);
       }
-      if (inflight->attempt > 0) {
+      if (health == sched::HealthTransition::kReinstated) {
+        count("pes_reinstated");
+        tracer_.instant(obs::Category::kFault, "pe_reinstated", 0, 1 + pe,
+                        t_now);
+        CEDR_LOG(kInfo, kLogTag)
+            << "PE " << worker.pe.name << " reinstated after probe success";
+      }
+      if (inflight->retry.attempt > 0) {
         count("tasks_recovered");
         trace_.add_retry_latency(t_now - inflight->first_enqueue_time);
-        tracer_.instant(obs::Category::kFault, "task_recovered", 0,
-                        1 + worker.pe_index, t_now, "latency_s",
+        tracer_.instant(obs::Category::kFault, "task_recovered", 0, 1 + pe,
+                        t_now, "latency_s",
                         t_now - inflight->first_enqueue_time);
       }
     }
@@ -221,33 +192,21 @@ void Runtime::process_completions() {
       tracer_.flow(obs::EventKind::kFlowBegin, obs::Category::kApp,
                    next->name.c_str(), 1 + next->app_instance_id, 0,
                    next->enqueue_time, next->key);
-      // Honor a lookahead reservation if one exists and is still fresh
-      // (same epoch, target PE not quarantined since); otherwise — or when
-      // it has gone stale — the task takes the normal ready path and the
-      // next round re-decides it.
-      if (lookahead_ != nullptr && !impl_->reservations.empty()) {
-        const auto it = impl_->reservations.find(Impl::reservation_key(
+      // Honour a fresh lookahead reservation; otherwise — or when it has
+      // gone stale — the task takes the normal ready path and the next
+      // round re-decides it.
+      if (lookahead_ != nullptr) {
+        const sched::Honoured honoured = policy.honour(Impl::reservation_key(
             next->app_instance_id, next->dag_task_index));
-        if (it != impl_->reservations.end()) {
-          const Impl::ReservationEntry entry = it->second;
-          impl_->reservations.erase(it);
-          bool fresh = entry.epoch == impl_->reservation_epoch;
-          if (fresh) {
-            std::lock_guard health(impl_->health_mutex);
-            fresh = !impl_->workers[entry.pe_index]->quarantined;
+        if (honoured.outcome == sched::Honoured::Outcome::kHit) {
+          if (reserved_batches.empty()) {
+            reserved_batches.resize(impl_->workers.size());
           }
-          if (fresh) {
-            if (reserved_batches.empty()) {
-              reserved_batches.resize(impl_->workers.size());
-            }
-            // The reserved PE is committed to this work: fold the predicted
-            // finish into the availability estimate later rounds price with.
-            impl_->pe_available[entry.pe_index] = std::max(
-                impl_->pe_available[entry.pe_index], entry.predicted_finish);
-            reserved_batches[entry.pe_index].push_back(std::move(next));
-            count("sched.reservation_hits");
-            continue;
-          }
+          reserved_batches[honoured.pe_index].push_back(std::move(next));
+          count("sched.reservation_hits");
+          continue;
+        }
+        if (honoured.outcome == sched::Honoured::Outcome::kStale) {
           count("sched.reservation_stale");
         }
       }

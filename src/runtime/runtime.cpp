@@ -162,7 +162,8 @@ Runtime::Runtime(RuntimeConfig config)
   sched_span_name_ = "sched " + config_.scheduler;
   // The sharded ready queue times contended shard-lock acquisitions into
   // this histogram (docs/observability.md); metrics_ outlives impl_.
-  impl_ = std::make_unique<Impl>(&metrics_.histogram("sched_lock_wait_us"));
+  impl_ = std::make_unique<Impl>(&metrics_.histogram("sched_lock_wait_us"),
+                                 config_);
 }
 
 Runtime::~Runtime() {
@@ -200,13 +201,14 @@ std::vector<PeHealth> Runtime::pe_health() const {
   std::vector<PeHealth> out;
   out.reserve(impl_->workers.size());
   for (const auto& worker : impl_->workers) {
+    const sched::PeHealthState& h = impl_->policy.health(worker->pe_index);
     out.push_back(PeHealth{
         .pe_name = worker->pe.name,
         .cls = worker->pe.cls,
-        .quarantined = worker->quarantined,
-        .consecutive_faults = worker->consecutive_faults,
-        .faults_seen = worker->faults_seen,
-        .quarantines = worker->quarantines,
+        .quarantined = h.quarantined,
+        .consecutive_faults = h.consecutive_faults,
+        .faults_seen = h.faults_seen,
+        .quarantines = h.quarantines,
     });
   }
   return out;
@@ -233,7 +235,7 @@ RuntimeStats Runtime::stats() const {
         .busy_fraction = out.uptime_s > 0.0
                              ? worker->busy_at(out.uptime_s) / out.uptime_s
                              : 0.0,
-        .quarantined = worker->quarantined,
+        .quarantined = impl_->policy.health(worker->pe_index).quarantined,
     });
   }
   return out;
@@ -330,7 +332,6 @@ Status Runtime::start() {
     auto worker = std::make_unique<Worker>();
     worker->pe_index = i;
     worker->pe = config_.platform.pes[i];
-    impl_->present_classes |= 1u << static_cast<unsigned>(worker->pe.cls);
     switch (worker->pe.cls) {
       case platform::PeClass::kFftAccel:
         worker->devices.fft = std::make_unique<platform::FftDevice>();
@@ -348,7 +349,6 @@ Status Runtime::start() {
     }
     impl_->workers.push_back(std::move(worker));
   }
-  impl_->pe_available.assign(impl_->workers.size(), 0.0);
   for (auto& worker : impl_->workers) {
     worker->thread = std::thread([this, w = worker.get()] { worker_loop(*w); });
   }

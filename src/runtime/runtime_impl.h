@@ -8,8 +8,10 @@
 //   Level 0  app_mutex     application lifecycle: apps map, instance ids,
 //                          accepting/started flags, runtime_overhead,
 //                          app_done_cv predicates
-//   Level 1  health_mutex  per-PE fault-tolerance state (quarantine,
-//                          probe windows, consecutive faults)
+//   Level 1  health_mutex  per-PE fault-tolerance state inside the policy
+//                          engine (quarantine, probe windows, consecutive
+//                          faults): the main loop takes it to change PE
+//                          health, stats()/pe_health() to read it
 //   Leaves   event_mutex   completion records + main-loop wakeups
 //            shard locks   inside ReadyQueueShards (one per PE class)
 //            plan_mutex    per-descriptor scheduling-plan cache (DagPlan)
@@ -21,9 +23,11 @@
 // recycling runs after it is released, and the arena lock lives entirely
 // inside allocate/deallocate.
 //
-// Main-loop-private state (deferred retries, scheduler-blocked bookkeeping,
-// PE availability estimates) is touched only by the main event-loop thread
-// and needs no lock at all; counters crossing threads are plain atomics.
+// The rest of the policy engine (deferred retries, PE availability, the
+// reservation table) and the scheduler-blocked bookkeeping are touched only
+// by the main event-loop thread and need no lock at all — nor do the main
+// loop's own reads of PE health, since it is the only writer. Counters
+// crossing threads are plain atomics.
 
 #include <array>
 #include <atomic>
@@ -40,7 +44,7 @@
 
 #include "cedr/common/stopwatch.h"
 #include "cedr/runtime/runtime.h"
-#include "cedr/sched/frontier.h"
+#include "cedr/sched/engine.h"
 #include "cedr/sched/ready_queue.h"
 
 namespace cedr::rt {
@@ -147,9 +151,8 @@ struct DagPlan {
 };
 
 /// A task in flight through the runtime (one DAG node or one API call).
-/// Retry state (attempt, failed_class_mask, retry_at) is only touched by
-/// the main event loop while the task is out of the ready queue, so it
-/// needs no lock.
+/// Retry state is only touched by the main event loop while the task is
+/// out of the ready queue, so it needs no lock.
 struct Runtime::InFlightTask {
   std::uint64_t key = 0;  ///< unique per runtime
   std::uint64_t app_instance_id = 0;
@@ -165,11 +168,8 @@ struct Runtime::InFlightTask {
   bool is_dag = false;
   double rank = 0.0;
   double enqueue_time = 0.0;  ///< most recent (re-)enqueue
-  // Fault-tolerance state (main-loop private, see above).
-  std::uint32_t attempt = 0;           ///< executions beyond the first
-  std::uint32_t failed_class_mask = 0; ///< PE classes that already failed it
-  double first_enqueue_time = 0.0;     ///< for retry-latency accounting
-  double retry_at = 0.0;               ///< backoff release time (deferred)
+  double first_enqueue_time = 0.0;  ///< for retry-latency accounting
+  sched::RetryState retry{};
 };
 
 /// One application instance being managed by the runtime. Guarded by the
@@ -255,15 +255,6 @@ struct Runtime::Worker {
   BlockingQueue<std::shared_ptr<InFlightTask>> mailbox;
   std::thread thread;
 
-  // Fault-tolerance health, guarded by Impl::health_mutex (written only by
-  // the main event loop; read by stats() / pe_health() / the sampler).
-  std::uint32_t consecutive_faults = 0;
-  std::uint64_t faults_seen = 0;
-  std::uint64_t quarantines = 0;
-  bool quarantined = false;
-  bool probe_inflight = false;  ///< a probe task is on this PE right now
-  double probe_at = 0.0;        ///< when the next probe may be dispatched
-
   // Busy-time accounting for the utilization sampler and STATS. Written
   // only by the owning worker thread; read elsewhere without locks, hence
   // atomics (plain store/load, single writer).
@@ -281,8 +272,10 @@ struct Runtime::Worker {
 };
 
 struct Runtime::Impl {
-  explicit Impl(obs::QuantileHistogram* lock_wait_us)
-      : ready(lock_wait_us) {}
+  Impl(obs::QuantileHistogram* lock_wait_us, const RuntimeConfig& config)
+      : policy(config.platform.pes, config.fault_plan.policy,
+               &config.platform.costs),
+        ready(lock_wait_us) {}
 
   // --- Slab arena: declared FIRST so it is destroyed LAST — every
   // InFlightTask control block below (ready shards, deferred, completions,
@@ -311,10 +304,14 @@ struct Runtime::Impl {
   double runtime_overhead = 0.0;       ///< app_mutex
 
   // --- Level 1: PE health. -------------------------------------------------
-  // The vector itself is fixed after start(); health fields inside each
-  // Worker are guarded by health_mutex, busy accounting is atomic.
+  // The workers vector is fixed after start() and busy accounting is
+  // atomic. PE health lives in `policy`: changed by the main loop under
+  // health_mutex, read elsewhere under it.
   mutable std::mutex health_mutex;
   std::vector<std::unique_ptr<Worker>> workers;
+  /// Every policy decision — PE health, bounded retry, round input, cost
+  /// view, reservations (docs/scheduling.md "Policy engine").
+  sched::PolicyEngine policy;
 
   // --- Leaf: completion events + main-loop wakeups. ------------------------
   mutable std::mutex event_mutex;
@@ -392,9 +389,6 @@ struct Runtime::Impl {
   StatusOr<PreparedDag> prepare_dag(Runtime& rt, DagSubmission submission);
 
   // --- Main-loop private (no lock). ----------------------------------------
-  /// Tasks backing off before a retry; released into the ready queue by the
-  /// scheduling round once their retry_at time passes.
-  std::deque<std::shared_ptr<InFlightTask>> deferred;
   /// Under fault injection a non-empty ready queue can be legitimately
   /// undispatchable (every capable PE quarantined, a probe already in
   /// flight, all retries backing off). Re-running the heuristic before
@@ -405,38 +399,15 @@ struct Runtime::Impl {
   bool sched_blocked = false;
   std::uint64_t sched_blocked_epoch = 0;
   double sched_blocked_until = 0.0;
-  std::vector<double> pe_available;  ///< scheduler availability estimates
 
-  // --- Main-loop private: frontier lookahead reservations ------------------
-  // (docs/scheduling.md "Lookahead rounds"). Only populated when the
-  // configured heuristic is a LookaheadScheduler. A reservation is a
-  // placement decided for a not-yet-ready DAG task; when its predecessors
-  // complete, the release path dispatches straight to the reserved worker
-  // unless the reservation has gone stale (epoch mismatch or the target PE
-  // quarantined since).
-  struct ReservationEntry {
-    std::size_t pe_index = 0;
-    double predicted_finish = 0.0;
-    std::uint64_t epoch = 0;  ///< reservation_epoch when decided
-  };
-  /// Composite (app instance, dag task index) key. Instance ids are
-  /// sequential from 1, so the shift only aliases after 2^32 submissions —
-  /// and an alias merely invalidates or redirects one reservation, which
-  /// the normal ready path absorbs.
+  /// Reservation key of a DAG task: (app instance, dag task index).
+  /// Instance ids are sequential from 1, so the shift only aliases after
+  /// 2^32 submissions — and an alias merely invalidates or redirects one
+  /// reservation, which the normal ready path absorbs.
   [[nodiscard]] static std::uint64_t reservation_key(
       std::uint64_t app_instance_id, std::uint32_t dag_task_index) noexcept {
     return (app_instance_id << 32) | dag_task_index;
   }
-  std::unordered_map<std::uint64_t, ReservationEntry> reservations;
-  /// Bumped on every quarantine/reinstatement transition and whenever the
-  /// round's cost table changes (adapt snapshot publish); any outstanding
-  /// reservation decided under an older epoch is stale.
-  std::uint64_t reservation_epoch = 0;
-  const void* last_cost_table = nullptr;  ///< table the last round priced with
-  sched::Frontier frontier;               ///< reused across lookahead rounds
-  /// (app instance, dag index) identity of window entries past the ready
-  /// prefix, aligned with Frontier indices - ready_count.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> frontier_meta;
   std::unordered_map<std::uint64_t, std::size_t> window_of;  ///< build scratch
 
   /// Widens the current round's window beyond the ready snapshot: BFS over
@@ -450,13 +421,11 @@ struct Runtime::Impl {
   // --- Cross-thread atomics. -----------------------------------------------
   std::atomic<bool> stopping{false};
   std::atomic<std::uint64_t> sched_epoch{0};
-  std::atomic<std::size_t> deferred_count{0};  ///< mirrors deferred.size()
+  /// policy.deferred_count(), published for stats() and the sampler.
+  std::atomic<std::size_t> deferred_count{0};
   std::atomic<std::uint64_t> next_task_key{1};
   std::atomic<std::uint64_t> submitted{0};
   std::atomic<std::uint64_t> completed{0};
-
-  /// Bit per PeClass present on this platform; fixed after start().
-  std::uint32_t present_classes = 0;
 
   std::thread main_thread;
   Stopwatch epoch;
@@ -469,28 +438,15 @@ struct Runtime::Impl {
     event_cv.notify_all();
   }
 
-  /// Effective scheduling class mask of a task: classes with a bound
-  /// implementation (or every class, for impl-less timing studies),
-  /// narrowed away from classes that already faulted this task — unless
-  /// that would leave no class present on this platform. Computed at push
-  /// time; valid because retry state only changes while the task is out of
-  /// the queue.
-  [[nodiscard]] std::uint32_t effective_class_mask(
-      const InFlightTask& task) const noexcept {
+  /// Classes with a bound implementation, or every class for impl-less
+  /// timing studies.
+  [[nodiscard]] static std::uint32_t impl_class_mask(
+      const std::array<task::TaskFn, platform::kNumPeClasses>& impls) noexcept {
     std::uint32_t mask = 0;
-    bool any_impl = false;
     for (std::size_t c = 0; c < platform::kNumPeClasses; ++c) {
-      if (task.impls[c]) {
-        mask |= 1u << c;
-        any_impl = true;
-      }
+      if (impls[c]) mask |= 1u << c;
     }
-    if (!any_impl) mask = 0xffffffffu;
-    if (task.failed_class_mask != 0) {
-      const std::uint32_t narrowed = mask & ~task.failed_class_mask;
-      if ((narrowed & present_classes) != 0) mask = narrowed;
-    }
-    return mask;
+    return mask != 0 ? mask : 0xffffffffu;
   }
 
   /// Builds the scheduler-facing view of a task whose enqueue_time (and
@@ -505,7 +461,8 @@ struct Runtime::Impl {
         .data_bytes = task->data_bytes,
         .ready_time = task->enqueue_time,
         .rank = task->rank,
-        .class_mask = effective_class_mask(*task),
+        .class_mask = policy.effective_mask(impl_class_mask(task->impls),
+                                            task->retry),
     };
     return {.view = view, .payload = std::move(task)};
   }

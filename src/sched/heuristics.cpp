@@ -44,14 +44,11 @@ ScheduleResult RoundRobinScheduler::schedule(CandidateView& view) {
       continue;
     }
     const std::size_t cursor = next_pe_ % p_count;
-    const std::size_t cursor_slot = view.admitted_slots()[cursor];
     // First eligible slot at/after the cursor, wrapping to the front.
-    const auto it =
-        std::lower_bound(eligible.begin(), eligible.end(), cursor_slot);
+    const auto it = std::lower_bound(eligible.begin(), eligible.end(), cursor);
     const std::size_t slot = it != eligible.end() ? *it : eligible.front();
-    const std::size_t position = view.rotation_position(slot);
-    result.comparisons += (position + p_count - cursor) % p_count + 1;
-    next_pe_ = (position + 1) % p_count;
+    result.comparisons += (slot + p_count - cursor) % p_count + 1;
+    next_pe_ = (slot + 1) % p_count;
     PeState& pe = pes[slot];
     pe.available_time =
         std::max(ctx.now, pe.available_time) + view.exec_estimate(q, pe);

@@ -18,16 +18,11 @@ constexpr std::uint32_t kClassBits = (1u << platform::kNumPeClasses) - 1u;
 // ---------------------------------------------------------------------------
 
 void CandidateView::reset(std::span<const ReadyTask> ready,
-                          std::span<PeState> pes, const ScheduleContext& ctx,
-                          std::uint32_t admit_mask) {
+                          std::span<PeState> pes, const ScheduleContext& ctx) {
   ready_ = ready;
   pes_ = pes;
   ctx_ = &ctx;
-  admit_mask_ = admit_mask;
   slotted_classes_ = 0;
-  admitted_is_identity_ = true;
-  task_indices_.clear();
-  admitted_slots_.clear();
   for (auto& slots : class_slots_) slots.clear();
   kinds_.clear();
   kind_of_.clear();
@@ -38,17 +33,10 @@ void CandidateView::reset(std::span<const ReadyTask> ready,
     }
   }
 
-  // --- PE side: admitted pool + per-class non-quarantined slot lists. ------
-  const bool unrestricted = (admit_mask_ & kClassBits) == kClassBits;
-  admitted_slots_.reserve(pes_.size());
+  // --- PE side: per-class non-quarantined slot lists. ---------------------
   for (std::size_t slot = 0; slot < pes_.size(); ++slot) {
     const PeState& pe = pes_[slot];
     const auto cls = static_cast<std::size_t>(pe.cls);
-    if (((admit_mask_ >> cls) & 1u) == 0) {
-      admitted_is_identity_ = false;
-      continue;
-    }
-    admitted_slots_.push_back(slot);
     if (pe.quarantined) continue;
     class_slots_[cls].push_back(slot);
     slotted_classes_ |= 1u << cls;
@@ -77,26 +65,14 @@ void CandidateView::reset(std::span<const ReadyTask> ready,
       }
       kernel_support[kid] = support;
     }
-    const std::uint32_t allowed = t.class_mask & admit_mask_ & kClassBits;
     support_mask_[q] = static_cast<std::uint8_t>(kernel_support[kid] &
-                                                 allowed);
+                                                 t.class_mask & kClassBits);
   }
-  if (unrestricted) {
-    // Unrestricted views admit every task — the legacy formulas count even
-    // unassignable ones — so tasks() is just 0..Q-1, served from a
-    // monotonically grown iota table with no per-round stores.
-    while (iota_.size() < ready_.size()) iota_.push_back(iota_.size());
-    task_span_ = std::span<const std::size_t>(iota_.data(), ready_.size());
-  } else {
-    // Restricted views admit only tasks that can land on an admitted
-    // class, under either predicate — which needs the cost side.
-    for (std::size_t q = 0; q < ready_.size(); ++q) {
-      if (((support_mask_[q] | cost_mask(q)) & slotted_classes_) != 0) {
-        task_indices_.push_back(q);
-      }
-    }
-    task_span_ = task_indices_;
-  }
+  // Every task is admitted — the legacy formulas count even unassignable
+  // ones — so tasks() is just 0..Q-1, served from a monotonically grown
+  // iota table with no per-round stores.
+  while (iota_.size() < ready_.size()) iota_.push_back(iota_.size());
+  task_span_ = std::span<const std::size_t>(iota_.data(), ready_.size());
 }
 
 std::uint32_t CandidateView::identify_kind(std::size_t q) const {
@@ -128,23 +104,6 @@ void CandidateView::compute_kind_costs(Kind& kind) const {
     kind.est[c] = est;
     if (est < kInf) kind.finite_mask |= 1u << c;
   }
-}
-
-std::size_t CandidateView::rotation_position(
-    std::size_t slot) const noexcept {
-  if (admitted_is_identity_) return slot;
-  const auto it =
-      std::lower_bound(admitted_slots_.begin(), admitted_slots_.end(), slot);
-  return static_cast<std::size_t>(it - admitted_slots_.begin());
-}
-
-double CandidateView::finish_time_on(std::size_t q,
-                                     const PeState& pe) const {
-  if (pe.quarantined) return kInf;
-  if (!ready_[q].allowed_on(pe.cls)) return kInf;
-  const double exec = exec_estimate(q, pe);
-  if (exec == kInf) return kInf;
-  return std::max(ctx_->now, pe.available_time) + exec;
 }
 
 std::span<const std::size_t> CandidateView::merged_slots(

@@ -14,6 +14,7 @@
 #endif
 
 #include "cedr/common/stopwatch.h"
+#include "cedr/sched/engine.h"
 #include "cedr/sched/frontier.h"
 #include "cedr/sched/ready_queue.h"
 #include "cedr/sched/scheduler.h"
@@ -22,12 +23,7 @@ namespace cedr::sim {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr double kEps = 1e-12;
-
-/// Per-round ceiling on the lookahead window, matching the threaded
-/// runtime's cap (src/runtime/dispatch.cpp): bounds the O(W^2) HEFT_LA
-/// placement cost however deep the visible DAG is.
-constexpr std::size_t kMaxLookaheadTasks = 512;
+constexpr double kEps = sched::PolicyEngine::kTimeEps;
 
 /// Reference-core nanoseconds per second of glue work (GENERIC problem
 /// size is expressed in ~1 GHz reference nanoseconds).
@@ -43,10 +39,8 @@ struct SimTask {
   std::size_t bytes = 0;
   double rank = 0.0;
   double ready_time = 0.0;
-  std::uint32_t class_mask = 0xffffffffu;
-  // Fault-tolerance state.
-  std::uint32_t attempt = 0;            ///< retries so far
-  std::uint32_t failed_class_mask = 0;  ///< classes that already failed it
+  std::uint32_t class_mask = 0xffffffffu;  ///< implementation classes
+  sched::RetryState retry{};
 };
 
 /// One application instance.
@@ -89,12 +83,7 @@ struct Worker {
   double remaining = 0.0;
   double started = 0.0;  ///< virtual time the current task began executing
   double busy_work = 0.0;
-  // Fault-tolerance state (mirrors the threaded runtime's Worker health).
   bool current_faulted = false;  ///< the in-flight execution will fail
-  std::uint32_t consecutive_faults = 0;
-  bool quarantined = false;
-  bool probe_inflight = false;
-  double probe_at = 0.0;
 };
 
 /// A main-thread management work item.
@@ -109,6 +98,9 @@ class Engine {
   Engine(const SimConfig& config, std::span<const Arrival> arrivals)
       : config_(config),
         cores_(static_cast<double>(config.platform.total_app_cores)),
+        policy_(config_.platform.pes, config_.faults.policy,
+                config_.sched_costs != nullptr ? config_.sched_costs
+                                               : &config_.platform.costs),
         ready_(config.sched_lock_wait_us) {
     // Application-thread work (glue, call issue, condvar wake) runs on the
     // platform's CPU cores: scale reference-core durations by the
@@ -130,10 +122,6 @@ class Engine {
       w.speed = config_.platform.pes[i].speed_factor;
       workers_.push_back(std::move(w));
     }
-    pe_available_.assign(workers_.size(), 0.0);
-    for (const Worker& w : workers_) {
-      present_classes_ |= 1u << static_cast<unsigned>(w.cls);
-    }
   }
 
   StatusOr<SimMetrics> run() {
@@ -142,8 +130,7 @@ class Engine {
     auto scheduler = sched::make_scheduler(config_.scheduler);
     if (!scheduler.ok()) return scheduler.status();
     scheduler_ = *std::move(scheduler);
-    // Same detection the threaded runtime uses (src/runtime/runtime.cpp):
-    // lookahead rounds only for schedulers that can place a whole window.
+    // Lookahead rounds only for schedulers that can place a whole window.
     lookahead_ = dynamic_cast<sched::LookaheadScheduler*>(scheduler_.get());
     sched_span_name_ = "sched " + config_.scheduler;
     if (tr() != nullptr) {
@@ -168,16 +155,16 @@ class Engine {
           std::fprintf(stderr,
                        "[stall] now=%g ready=%zu deferred=%zu mgmt=%zu "
                        "main_busy=%d dirty=%d next_round=%g\n",
-                       now_, ready_.size(), deferred_.size(), mgmt_.size(),
-                       main_busy_ ? 1 : 0, queue_dirty_ ? 1 : 0,
+                       now_, ready_.size(), policy_.deferred_count(),
+                       mgmt_.size(), main_busy_ ? 1 : 0, queue_dirty_ ? 1 : 0,
                        next_round_allowed_);
           for (const Worker& w : workers_) {
+            const sched::PeHealthState& h = policy_.health(w.pe_index);
             std::fprintf(
                 stderr,
-                "[stall] pe%zu busy=%d rem=%g fifo=%zu q=%d inflight=%d "
-                "probe_at=%g\n",
+                "[stall] pe%zu busy=%d rem=%g fifo=%zu q=%d probe_at=%g\n",
                 w.pe_index, w.busy ? 1 : 0, w.remaining, w.fifo.size(),
-                w.quarantined ? 1 : 0, w.probe_inflight ? 1 : 0, w.probe_at);
+                h.quarantined ? 1 : 0, h.probe_at);
           }
           for (std::size_t i = 0; i < instances_.size(); ++i) {
             const Instance& inst = instances_[i];
@@ -204,16 +191,16 @@ class Engine {
       std::fprintf(stderr,
                    "[quiesce] now=%g ready=%zu deferred=%zu mgmt=%zu "
                    "main_busy=%d dirty=%d next_round=%g\n",
-                   now_, ready_.size(), deferred_.size(), mgmt_.size(),
-                   main_busy_ ? 1 : 0, queue_dirty_ ? 1 : 0,
+                   now_, ready_.size(), policy_.deferred_count(),
+                   mgmt_.size(), main_busy_ ? 1 : 0, queue_dirty_ ? 1 : 0,
                    next_round_allowed_);
       for (const Worker& w : workers_) {
+        const sched::PeHealthState& h = policy_.health(w.pe_index);
         std::fprintf(stderr,
-                     "[quiesce] pe%zu busy=%d fifo=%zu q=%d probe_inflight=%d "
-                     "probe_at=%g consec=%u\n",
+                     "[quiesce] pe%zu busy=%d fifo=%zu q=%d probe_at=%g "
+                     "consec=%u\n",
                      w.pe_index, w.busy ? 1 : 0, w.fifo.size(),
-                     w.quarantined ? 1 : 0, w.probe_inflight ? 1 : 0,
-                     w.probe_at, w.consecutive_faults);
+                     h.quarantined ? 1 : 0, h.probe_at, h.consecutive_faults);
       }
       for (std::size_t i = 0; i < instances_.size(); ++i) {
         const Instance& inst = instances_[i];
@@ -286,21 +273,15 @@ class Engine {
     }
     // Deferred retries become ready when their backoff elapses; probe
     // windows of quarantined PEs re-open the scheduler for queued work.
-    for (const auto& [release_at, task] : deferred_) {
-      t = std::min(t, std::max(now_, release_at));
-    }
+    t = std::min(t, std::max(now_, policy_.next_release()));
     // A probe window opening is only an event in that it lets a scheduling
     // round start, so it carries the round's own preconditions: main thread
     // idle, no queued mgmt work, and the round-rate gate. Without those
     // floors this clause keeps returning now_ while the round cannot run
     // and the event loop spins at a frozen virtual time.
     if (!main_busy_ && mgmt_.empty() && ready_.size() != 0) {
-      for (const Worker& w : workers_) {
-        if (w.quarantined && !w.probe_inflight) {
-          t = std::min(t, std::max(std::max(now_, w.probe_at),
-                                   next_round_allowed_));
-        }
-      }
+      t = std::min(t, std::max(std::max(now_, policy_.next_probe()),
+                               next_round_allowed_));
     }
     const std::size_t runnable = runnable_pool_count();
     if (runnable > 0) {
@@ -365,26 +346,15 @@ class Engine {
     // Deferred retries whose backoff has elapsed re-enter the ready queue.
     // The re-push recomputes the effective class mask, so the retry's
     // failed-class narrowing takes effect on its new shard placement.
-    if (!deferred_.empty()) {
-      std::vector<std::pair<double, SimTask>> still_waiting;
-      for (auto& [release_at, task] : deferred_) {
-        if (release_at <= now_ + kEps) {
-          task.ready_time = now_;
-          push_ready(std::move(task));
-        } else {
-          still_waiting.emplace_back(release_at, std::move(task));
-        }
-      }
-      deferred_ = std::move(still_waiting);
-    }
+    policy_.release_due(now_, [this](std::shared_ptr<void> payload) {
+      auto task = std::static_pointer_cast<SimTask>(std::move(payload));
+      task->ready_time = now_;
+      push_ready(std::move(task));
+    });
     // A quarantined PE whose probe window just opened makes queued work
     // schedulable again.
-    if (ready_.size() != 0) {
-      for (const Worker& w : workers_) {
-        if (w.quarantined && !w.probe_inflight && w.probe_at <= now_ + kEps) {
-          queue_dirty_ = true;
-        }
-      }
+    if (ready_.size() != 0 && policy_.next_probe() <= now_ + kEps) {
+      queue_dirty_ = true;
     }
     // Worker completions.
     for (Worker& w : workers_) {
@@ -428,35 +398,21 @@ class Engine {
     return mask;
   }
 
-  /// The mask the scheduler sees: implementation classes, narrowed by the
-  /// classes that already failed this task — unless that would leave no
-  /// class present on the platform (the retry must stay schedulable).
-  /// Computed at push time: retry state only changes while the task is out
-  /// of the queue, so this equals the legacy per-round computation.
-  [[nodiscard]] std::uint32_t effective_mask(
-      const SimTask& t) const noexcept {
-    std::uint32_t mask = t.class_mask;
-    if (t.failed_class_mask != 0) {
-      const std::uint32_t narrowed = mask & ~t.failed_class_mask;
-      if ((narrowed & present_classes_) != 0) mask = narrowed;
-    }
-    return mask;
-  }
-
   /// Routes one task into the sharded ready queue — the same component the
-  /// threaded runtime dispatches from (docs/scheduling.md).
-  void push_ready(SimTask task) {
+  /// threaded runtime dispatches from (docs/scheduling.md) — with the
+  /// engine's effective class mask.
+  void push_ready(std::shared_ptr<SimTask> task) {
     const sched::ReadyTask view{
-        .task_key = task.key,
-        .app_instance_id = task.instance,
-        .kernel = task.kernel,
-        .problem_size = task.size,
-        .data_bytes = task.bytes,
-        .ready_time = task.ready_time,
-        .rank = task.rank,
-        .class_mask = effective_mask(task),
+        .task_key = task->key,
+        .app_instance_id = task->instance,
+        .kernel = task->kernel,
+        .problem_size = task->size,
+        .data_bytes = task->bytes,
+        .ready_time = task->ready_time,
+        .rank = task->rank,
+        .class_mask = policy_.effective_mask(task->class_mask, task->retry),
     };
-    ready_.push(view, std::make_shared<SimTask>(std::move(task)));
+    ready_.push(view, std::move(task));
     max_ready_ = std::max(max_ready_, ready_.size());
     queue_dirty_ = true;
   }
@@ -486,31 +442,18 @@ class Engine {
       }
       // A fresh reservation from an earlier lookahead round short-circuits
       // the ready queue: the placement was already decided, so the task goes
-      // straight to its reserved PE with no further scheduling round — the
-      // same honor path as the threaded runtime (src/runtime/ready_state.cpp).
-      if (lookahead_ != nullptr && !reservations_.empty()) {
-        const auto it = reservations_.find(
-            reservation_key(instance_idx, segment, ordinal));
-        if (it != reservations_.end()) {
-          const SimReservation entry = it->second;
-          reservations_.erase(it);
-          const bool fresh = entry.epoch == reservation_epoch_ &&
-                             !workers_[entry.pe_index].quarantined;
-          if (fresh) {
-            ++reservation_hits_;
-            pe_available_[entry.pe_index] = std::max(
-                pe_available_[entry.pe_index], entry.predicted_finish);
-            if (tr() != nullptr) {
-              tr()->flow(obs::EventKind::kFlowStep, obs::Category::kSched,
-                         "dispatch_reserved", 0, 0, now_, key);
-            }
-            dispatch_to_worker(entry.pe_index, std::move(task));
-            return;
-          }
-          ++reservation_stale_;
+      // straight to its reserved PE with no further scheduling round.
+      const sched::Honoured honoured =
+          policy_.honour(reservation_key(instance_idx, segment, ordinal));
+      if (honoured.outcome == sched::Honoured::Outcome::kHit) {
+        if (tr() != nullptr) {
+          tr()->flow(obs::EventKind::kFlowStep, obs::Category::kSched,
+                     "dispatch_reserved", 0, 0, now_, key);
         }
+        dispatch_to_worker(honoured.pe_index, std::move(task));
+        return;
       }
-      push_ready(std::move(task));
+      push_ready(std::make_shared<SimTask>(std::move(task)));
     };
     if (seg.kind == SimSegment::Kind::kCpuGlue) {
       push_one(platform::KernelId::kGeneric,
@@ -605,11 +548,11 @@ class Engine {
       tr()->complete_span(obs::Category::kWorker,
                           platform::kernel_name(task.kernel).data(), 0,
                           1 + w.pe_index, started, now_ - started, "attempt",
-                          static_cast<double>(task.attempt), "ok",
+                          static_cast<double>(task.retry.attempt), "ok",
                           faulted ? 0.0 : 1.0);
     }
-    // Mirror the threaded runtime's worker_loop: successful executions feed
-    // the online cost estimator with their measured (virtual) service time.
+    // Successful executions feed the online cost estimator with their
+    // measured (virtual) service time.
     if (config_.adapt != nullptr && !faulted) {
       config_.adapt->observe(task.kernel, w.cls, task.size, task.bytes,
                              now_ - started);
@@ -621,76 +564,50 @@ class Engine {
     // availability, so re-arm the scheduler if work is still waiting.
     if (injector_ != nullptr && ready_.size() != 0) queue_dirty_ = true;
 
-    const platform::FaultPolicy& policy = config_.faults.policy;
     if (faulted) {
       if (tr() != nullptr) {
         tr()->instant(obs::Category::kFault, "fault", 0, 1 + w.pe_index, now_,
-                      "attempt", static_cast<double>(task.attempt));
+                      "attempt", static_cast<double>(task.retry.attempt));
       }
-      // PE health bookkeeping, mirroring the threaded runtime.
-      if (w.quarantined) {
-        w.probe_inflight = false;
-        w.probe_at = now_ + policy.probe_period_s;  // failed probe
-        if (tr() != nullptr) {
+      auto retried = std::make_shared<SimTask>(task);
+      const sched::FailureOutcome out =
+          policy_.on_failure(w.pe_index, retried->retry, retried, now_);
+      if (tr() != nullptr) {
+        if (out.health == sched::HealthTransition::kProbeFailed) {
           tr()->instant(obs::Category::kFault, "probe_failed", 0,
                         1 + w.pe_index, now_);
+        } else if (out.health == sched::HealthTransition::kQuarantined) {
+          tr()->instant(
+              obs::Category::kFault, "pe_quarantined", 0, 1 + w.pe_index,
+              now_, "consecutive_faults",
+              static_cast<double>(
+                  policy_.health(w.pe_index).consecutive_faults));
         }
-      } else {
-        ++w.consecutive_faults;
-        if (policy.quarantine_threshold > 0 &&
-            w.consecutive_faults >= policy.quarantine_threshold) {
-          w.quarantined = true;
-          w.probe_inflight = false;
-          w.probe_at = now_ + policy.probe_period_s;
-          // Health transition: outstanding lookahead reservations assumed
-          // this PE's availability; invalidate them all.
-          ++reservation_epoch_;
-          ++pes_quarantined_;
-          if (tr() != nullptr) {
-            tr()->instant(obs::Category::kFault, "pe_quarantined", 0,
-                          1 + w.pe_index, now_, "consecutive_faults",
-                          static_cast<double>(w.consecutive_faults));
-          }
-        }
-      }
-      task.failed_class_mask |= 1u << static_cast<unsigned>(w.cls);
-      if (task.attempt < policy.max_retries) {
-        ++task.attempt;
-        ++tasks_retried_;
-        const double backoff =
-            policy.backoff_base_s *
-            std::pow(policy.backoff_factor,
-                     static_cast<double>(task.attempt - 1));
-        if (tr() != nullptr) {
+        if (out.retry) {
           tr()->instant(obs::Category::kFault, "retry_backoff", 0,
                         1 + w.pe_index, now_, "attempt",
-                        static_cast<double>(task.attempt), "backoff_s",
-                        backoff);
+                        static_cast<double>(retried->retry.attempt),
+                        "backoff_s", out.backoff_s);
+        } else {
+          tr()->instant(obs::Category::kFault, "task_failed", 0,
+                        1 + w.pe_index, now_, "attempts",
+                        static_cast<double>(retried->retry.attempt + 1));
         }
-        deferred_.emplace_back(now_ + backoff, std::move(task));
-        return;  // not terminal: no completion bookkeeping yet
       }
-      ++tasks_lost_;  // retries exhausted; fall through so the app finishes
-      if (tr() != nullptr) {
-        tr()->instant(obs::Category::kFault, "task_failed", 0, 1 + w.pe_index,
-                      now_, "attempts", static_cast<double>(task.attempt + 1));
-      }
+      // A retry is not terminal: no completion bookkeeping yet. Exhausted
+      // retries fall through so the app still finishes.
+      if (out.retry) return;
     } else {
-      w.consecutive_faults = 0;
-      w.probe_inflight = false;
-      if (w.quarantined) {
-        w.quarantined = false;
-        ++reservation_epoch_;  // capacity changed under the reservations
-        ++pes_reinstated_;
-        if (tr() != nullptr) {
-          tr()->instant(obs::Category::kFault, "pe_reinstated", 0,
-                        1 + w.pe_index, now_);
-        }
+      if (policy_.on_success(w.pe_index) ==
+              sched::HealthTransition::kReinstated &&
+          tr() != nullptr) {
+        tr()->instant(obs::Category::kFault, "pe_reinstated", 0,
+                      1 + w.pe_index, now_);
       }
-      if (task.attempt > 0 && tr() != nullptr) {
+      if (task.retry.attempt > 0 && tr() != nullptr) {
         tr()->instant(obs::Category::kFault, "task_recovered", 0,
                       1 + w.pe_index, now_, "attempts",
-                      static_cast<double>(task.attempt + 1));
+                      static_cast<double>(task.retry.attempt + 1));
       }
     }
 
@@ -759,7 +676,7 @@ class Engine {
     } else {
       // One call of the serial batch.
       const std::uint64_t key = next_key_++;
-      push_ready(SimTask{
+      push_ready(std::make_shared<SimTask>(SimTask{
           .key = key,
           .instance = instance_idx,
           .segment = inst.segment,
@@ -769,7 +686,7 @@ class Engine {
           .rank = (*inst.ranks)[inst.segment],
           .ready_time = now_,
           .class_mask = class_mask_for(seg.kernel, seg.problem_size),
-      });
+      }));
       if (tr() != nullptr) {
         tr()->flow(obs::EventKind::kFlowBegin, obs::Category::kApp,
                    platform::kernel_name(seg.kernel).data(), 1 + instance_idx,
@@ -893,63 +810,31 @@ class Engine {
     queue_dirty_ = false;
     round_snapshot_ = ready_.snapshot();
     const std::span<const sched::ReadyTask> views(round_snapshot_.views);
-    std::vector<sched::PeState> pe_states;
-    pe_states.reserve(workers_.size());
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      const Worker& w = workers_[i];
-      bool excluded = w.quarantined;
-      if (excluded && !w.probe_inflight && now_ + kEps >= w.probe_at) {
-        excluded = false;  // probe window open: admit for one probe task
-      }
-      pe_states.push_back(sched::PeState{
-          .pe_index = i,
-          .cls = w.cls,
-          .available_time = std::max(now_, pe_available_[i]),
-          .speed = w.speed,
-          .quarantined = excluded,
-      });
-    }
-    // The heuristics see (in priority order) the live adapted snapshot, an
-    // explicit static override, or the platform tables; execution durations
-    // (start_next_on_worker) always come from the ground-truth platform
-    // tables, so a mis-calibrated scheduler view shows up as real makespan.
+    const std::span<sched::PeState> pe_states = policy_.round_pes(now_);
+    // The heuristics see the live adapted snapshot when there is one, else
+    // the engine's base view (an explicit static override or the platform
+    // tables); execution durations (start_next_on_worker) always come from
+    // the ground-truth platform tables, so a mis-calibrated scheduler view
+    // shows up as real makespan.
     const std::shared_ptr<const platform::CostModel> learned =
         config_.adapt != nullptr ? config_.adapt->snapshot() : nullptr;
-    const platform::CostModel* sched_view =
-        learned != nullptr          ? learned.get()
-        : config_.sched_costs != nullptr ? config_.sched_costs
-                                         : &config_.platform.costs;
-    const sched::ScheduleContext ctx{.now = now_, .costs = sched_view};
+    const sched::ScheduleContext ctx{.now = now_,
+                                     .costs = policy_.cost_view(learned.get())};
     sched::ScheduleResult result;
     if (lookahead_ != nullptr) {
-      // Cost-snapshot staleness: a new published table invalidates every
-      // outstanding reservation (its predicted finishes no longer hold).
-      if (static_cast<const void*>(ctx.costs) != last_cost_table_) {
-        if (last_cost_table_ != nullptr) ++reservation_epoch_;
-        last_cost_table_ = ctx.costs;
-      }
-      frontier_.reset(pe_states, ctx);
-      for (const sched::ReadyTask& v : round_snapshot_.views) {
-        frontier_.add_ready(v);
-      }
-      frontier_meta_.clear();
+      sched::Frontier& frontier = policy_.open_window(views, ctx);
       if (config_.model == ProgrammingModel::kDagBased &&
           config_.lookahead_depth > 0) {
-        build_lookahead_window();
+        build_lookahead_window(frontier);
       }
       Stopwatch decision_clock;
-      sched::FrontierResult window = lookahead_->schedule_window(frontier_);
+      sched::FrontierResult window = lookahead_->schedule_window(frontier);
       if (config_.sched_decision_us != nullptr) {
         config_.sched_decision_us->record(decision_clock.elapsed_us());
       }
       result.assignments = std::move(window.assignments);
       result.comparisons = window.comparisons;
-      for (const sched::Reservation& r : window.reservations) {
-        // Overwrite semantics: a window task re-seen next round (its
-        // predecessors still queued) takes the newest placement.
-        reservations_[frontier_meta_[r.window_index - views.size()]] =
-            SimReservation{r.pe_index, r.predicted_finish, reservation_epoch_};
-      }
+      policy_.reserve(window.reservations);
     } else {
       Stopwatch decision_clock;
       result = scheduler_->schedule(views, pe_states, ctx);
@@ -958,9 +843,7 @@ class Engine {
       }
     }
     total_comparisons_ += result.comparisons;
-    for (const sched::PeState& pe : pe_states) {
-      pe_available_[pe.pe_index] = pe.available_time;
-    }
+    policy_.commit_round();
     pending_assignments_.clear();
     for (const sched::Assignment& a : result.assignments) {
       pending_assignments_.emplace_back(views[a.queue_index].task_key,
@@ -1015,9 +898,8 @@ class Engine {
   /// (nothing executing, nothing deferred on retry backoff), the next
   /// `lookahead_depth` segments join the window as lookahead tasks whose
   /// in-window predecessors are the full prior level — the emulator's
-  /// segment-chain analogue of the runtime's DagPlan-driven window
-  /// (src/runtime/dispatch.cpp build_lookahead_window).
-  void build_lookahead_window() {
+  /// segment-chain analogue of the runtime's DagPlan-driven window.
+  void build_lookahead_window(sched::Frontier& frontier) {
     // Group the snapshot's current-segment tasks per instance, preserving
     // first-seen snapshot order so the window layout is deterministic.
     std::unordered_map<std::size_t, std::size_t> group_pos;
@@ -1043,17 +925,14 @@ class Engine {
       for (std::size_t d = 1; d <= config_.lookahead_depth; ++d) {
         const std::size_t seg_idx = inst.segment + d;
         if (seg_idx >= inst.model->segments.size()) break;
-        if (frontier_.size() >= kMaxLookaheadTasks) return;
+        if (frontier.size() >= sched::PolicyEngine::kMaxLookaheadTasks) return;
         // Reserve once: a fresh reservation from an earlier round stands
         // until honored or invalidated — re-placing the same level every
         // round while its predecessors wait in a backlogged queue is pure
         // O(window^2) waste, the cost the lookahead exists to remove.
         // Levels are reserved atomically (ordinal 0 stands in for all),
         // and deeper levels were reserved by the same earlier round.
-        const auto held = reservations_.find(
-            reservation_key(instance_idx, seg_idx, 0));
-        if (held != reservations_.end() &&
-            held->second.epoch == reservation_epoch_) {
+        if (policy_.reserved(reservation_key(instance_idx, seg_idx, 0))) {
           break;
         }
         const SimSegment& seg = inst.model->segments[seg_idx];
@@ -1071,10 +950,13 @@ class Engine {
         // the whole previous level. Stage that set once — a 128-wide FFT
         // level then costs one predecessor copy and one earliest-start
         // scan, not 128 of each.
-        const std::uint32_t pred_set = frontier_.stage_preds(prev);
+        const std::uint32_t pred_set = frontier.stage_preds(prev);
         for (std::size_t ordinal = 0; ordinal < count; ++ordinal) {
-          if (frontier_.size() >= kMaxLookaheadTasks) return;
-          const std::size_t idx = frontier_.add_lookahead_staged(
+          if (frontier.size() >= sched::PolicyEngine::kMaxLookaheadTasks) {
+            return;
+          }
+          const std::size_t idx = policy_.add_lookahead_staged(
+              reservation_key(instance_idx, seg_idx, ordinal),
               sched::ReadyTask{
                   .task_key = 0,
                   .app_instance_id = instance_idx,
@@ -1086,8 +968,6 @@ class Engine {
                   .class_mask = class_mask_for(kernel, size),
               },
               static_cast<std::uint32_t>(d), pred_set);
-          frontier_meta_.push_back(
-              reservation_key(instance_idx, seg_idx, ordinal));
           level.push_back(idx);
         }
         prev = level;
@@ -1113,12 +993,7 @@ class Engine {
            round_snapshot_.entries) {
         const auto it = assigned.find(entry.view.task_key);
         if (it == assigned.end()) continue;
-        Worker& w = workers_[it->second];
-        if (w.quarantined) {
-          // Quarantined PE in its probe window: exactly one probe task.
-          if (w.probe_inflight) continue;
-          w.probe_inflight = true;
-        }
+        if (policy_.gate(it->second) == sched::DispatchGate::kHold) continue;
         taken.push_back(entry);
         dispatch_to_worker(
             it->second,
@@ -1201,13 +1076,14 @@ class Engine {
     }
     m.pe_busy.reserve(workers_.size());
     for (const Worker& w : workers_) m.pe_busy.push_back(w.busy_work);
+    const sched::PolicyCounters& c = policy_.counters();
     m.faults_injected = faults_injected_;
-    m.tasks_retried = tasks_retried_;
-    m.pes_quarantined = pes_quarantined_;
-    m.pes_reinstated = pes_reinstated_;
-    m.tasks_lost = tasks_lost_;
-    m.reservation_hits = reservation_hits_;
-    m.reservation_stale = reservation_stale_;
+    m.tasks_retried = c.tasks_retried;
+    m.pes_quarantined = c.pes_quarantined;
+    m.pes_reinstated = c.pes_reinstated;
+    m.tasks_lost = c.tasks_lost;
+    m.reservation_hits = c.reservation_hits;
+    m.reservation_stale = c.reservation_stale;
     return m;
   }
 
@@ -1221,22 +1097,9 @@ class Engine {
   sched::LookaheadScheduler* lookahead_ = nullptr;
   std::unique_ptr<platform::FaultInjector> injector_;
   std::string sched_span_name_;
-
-  // ---- lookahead round state (all untouched for classic heuristics) ----
-  struct SimReservation {
-    std::size_t pe_index = 0;
-    double predicted_finish = 0.0;
-    std::uint64_t epoch = 0;
-  };
-  sched::Frontier frontier_;
-  /// Reservation key per lookahead window entry, aligned so that
-  /// frontier_meta_[window_index - ready_count] names the entry.
-  std::vector<std::uint64_t> frontier_meta_;
-  std::unordered_map<std::uint64_t, SimReservation> reservations_;
-  std::uint64_t reservation_epoch_ = 0;
-  const void* last_cost_table_ = nullptr;
-  std::size_t reservation_hits_ = 0;
-  std::size_t reservation_stale_ = 0;
+  /// PE health, bounded retry, round input, cost view and reservations —
+  /// the same policy engine the threaded runtime runs, on the virtual clock.
+  sched::PolicyEngine policy_;
 
   std::vector<Arrival> arrivals_;
   std::size_t arrival_idx_ = 0;
@@ -1251,7 +1114,6 @@ class Engine {
 
   std::vector<Instance> instances_;
   std::vector<Worker> workers_;
-  std::vector<double> pe_available_;
 
   /// The same sharded ready queue the threaded runtime schedules from;
   /// single-threaded here, so every lock acquisition takes the
@@ -1260,9 +1122,6 @@ class Engine {
   /// The queue snapshot the in-flight scheduling round decided over; the
   /// dispatch at complete_main_item consumes and clears it.
   sched::ReadyQueueShards::Snapshot round_snapshot_;
-  std::uint32_t present_classes_ = 0;
-  /// (release time, task) pairs backing off before a retry.
-  std::vector<std::pair<double, SimTask>> deferred_;
   bool queue_dirty_ = false;
   std::uint64_t next_key_ = 1;
 
@@ -1283,10 +1142,6 @@ class Engine {
   std::size_t tasks_executed_ = 0;
   std::size_t max_ready_ = 0;
   std::size_t faults_injected_ = 0;
-  std::size_t tasks_retried_ = 0;
-  std::size_t pes_quarantined_ = 0;
-  std::size_t pes_reinstated_ = 0;
-  std::size_t tasks_lost_ = 0;
 };
 
 }  // namespace

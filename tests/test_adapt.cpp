@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -385,9 +386,13 @@ TEST(AdaptConcurrencyTest, SnapshotSwapHammer) {
   constexpr int kWriters = 4;
   constexpr int kObservations = 4000;
   std::atomic<bool> stop{false};
+  // Writers start only once the reader has completed a read, so the reader
+  // can never be scheduled for the first time after they finished.
+  std::latch first_read(1);
   std::vector<std::thread> threads;
   for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&estimator, &truth, w] {
+    threads.emplace_back([&estimator, &truth, &first_read, w] {
+      first_read.wait();
       const std::size_t sizes[] = {128, 256, 512, 1024};
       for (int i = 0; i < kObservations; ++i) {
         const std::size_t n = sizes[(w + i) % 4];
@@ -395,14 +400,14 @@ TEST(AdaptConcurrencyTest, SnapshotSwapHammer) {
       }
     });
   }
-  std::thread reader([&estimator, &stop] {
+  std::thread reader([&estimator, &stop, &first_read] {
     std::size_t reads = 0;
     while (!stop.load(std::memory_order_acquire)) {
       const auto snap = estimator.snapshot();
       const double est = snap->estimate(KernelId::kFft, PeClass::kCpu, 256, 0);
+      if (reads++ == 0) first_read.count_down();
       ASSERT_TRUE(std::isfinite(est));
       ASSERT_GT(est, 0.0);
-      ++reads;
     }
     EXPECT_GT(reads, 0u);
   });

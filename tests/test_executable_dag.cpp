@@ -106,6 +106,10 @@ struct BadDagCase {
   const char* text;
 };
 
+// Print a case as its name, so the test names that gtest lists and ctest
+// registers do not embed the addresses of the string literals.
+void PrintTo(const BadDagCase& c, std::ostream* os) { *os << c.name; }
+
 class ExecutableDagErrors : public ::testing::TestWithParam<BadDagCase> {};
 
 TEST_P(ExecutableDagErrors, Rejected) {
@@ -264,7 +268,8 @@ TEST(Profiling, SyntheticAffineRecovery) {
   for (const std::size_t n : {100u, 200u, 400u, 800u}) {
     for (int rep = 0; rep < 2; ++rep) {
       const double service = fixed + per_point * static_cast<double>(n);
-      log.add_task(trace::TaskRecord{.kernel_name = "ZIP",
+      log.add_task(trace::TaskRecord{.app_name = "",
+                                     .kernel_name = "ZIP",
                                      .pe_name = "cpu0",
                                      .problem_size = n,
                                      .enqueue_time = t,
@@ -283,10 +288,16 @@ TEST(Profiling, SyntheticAffineRecovery) {
 
 TEST(Profiling, SkipsUnknownRecordsAndValidates) {
   trace::TraceLog log;
-  log.add_task(trace::TaskRecord{.kernel_name = "NOPE", .pe_name = "cpu0",
-                                 .start_time = 0, .end_time = 1});
-  log.add_task(trace::TaskRecord{.kernel_name = "FFT", .pe_name = "ghost9",
-                                 .start_time = 0, .end_time = 1});
+  log.add_task(trace::TaskRecord{.app_name = "",
+                                 .kernel_name = "NOPE",
+                                 .pe_name = "cpu0",
+                                 .start_time = 0,
+                                 .end_time = 1});
+  log.add_task(trace::TaskRecord{.app_name = "",
+                                 .kernel_name = "FFT",
+                                 .pe_name = "ghost9",
+                                 .start_time = 0,
+                                 .end_time = 1});
   const auto platform = platform::host(1);
   EXPECT_EQ(platform::profile_costs(log, platform).status().code(),
             StatusCode::kFailedPrecondition);  // nothing usable

@@ -350,6 +350,60 @@ TEST(RuntimeFaults, DeviceHangRecoversThroughWatchdog) {
   EXPECT_GE(runtime.counters().get("tasks_recovered"), 1u);
 }
 
+TEST(RuntimeFaults, LookaheadReservationsGoStaleUnderQuarantine) {
+  rt::RuntimeConfig config = accel_config();
+  config.scheduler = "HEFT_LA";
+  // fft0 fails half its executions, so it cycles through quarantine, probe
+  // and reinstatement while HEFT_LA holds reservations on it. Every such
+  // transition bumps the reservation epoch, so reservations decided before
+  // it must come back stale when their tasks are released.
+  config.fault_plan.seed = 11;
+  config.fault_plan.per_pe["fft0"] = FaultSpec{.fail_prob = 0.5};
+  config.fault_plan.policy.quarantine_threshold = 2;
+  config.fault_plan.policy.probe_period_s = 1e-3;
+  rt::Runtime runtime(config);
+  ASSERT_TRUE(runtime.start().ok());
+
+  // source -> 6 FFTs -> join -> 6 FFTs -> sink. The tasks carry no
+  // implementation, so they cost nothing to run, but the fault plan still
+  // applies to every attempt.
+  auto app = std::make_shared<task::AppDescriptor>();
+  app->name = "fanout";
+  const auto add_task = [&](task::TaskId id, platform::KernelId kernel) {
+    task::Task t;
+    t.id = id;
+    t.kernel = kernel;
+    t.problem_size = 256;
+    ASSERT_TRUE(app->graph.add_task(std::move(t)).ok());
+  };
+  constexpr task::TaskId kWidth = 6;
+  constexpr task::TaskId kJoin = kWidth + 1;
+  constexpr task::TaskId kSink = 2 * kWidth + 2;
+  add_task(0, platform::KernelId::kGeneric);
+  add_task(kJoin, platform::KernelId::kGeneric);
+  add_task(kSink, platform::KernelId::kGeneric);
+  for (task::TaskId i = 1; i <= kWidth; ++i) {
+    add_task(i, platform::KernelId::kFft);
+    add_task(kJoin + i, platform::KernelId::kFft);
+    ASSERT_TRUE(app->graph.add_edge(0, i).ok());
+    ASSERT_TRUE(app->graph.add_edge(i, kJoin).ok());
+    ASSERT_TRUE(app->graph.add_edge(kJoin, kJoin + i).ok());
+    ASSERT_TRUE(app->graph.add_edge(kJoin + i, kSink).ok());
+  }
+
+  constexpr std::uint64_t kInstances = 40;
+  for (std::uint64_t i = 0; i < kInstances; ++i) {
+    ASSERT_TRUE(runtime.submit_dag(app).ok());
+  }
+  ASSERT_TRUE(runtime.wait_all(60.0).ok());
+  EXPECT_TRUE(runtime.shutdown().ok());
+
+  EXPECT_EQ(runtime.completed_apps(), kInstances);
+  EXPECT_EQ(runtime.counters().get("tasks_failed"), 0u);
+  EXPECT_GT(runtime.counters().get("pes_quarantined"), 0u);
+  EXPECT_GT(runtime.counters().get("sched.reservation_stale"), 0u);
+}
+
 // ---- discrete-event emulator parity ---------------------------------------
 
 TEST(SimFaults, DeterministicAndLossless) {

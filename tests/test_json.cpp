@@ -91,6 +91,10 @@ struct BadCase {
   const char* text;
 };
 
+// Print a case as its name, so the test names that gtest lists and ctest
+// registers do not embed the addresses of the string literals.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
+
 class JsonParseErrors : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(JsonParseErrors, Rejected) {

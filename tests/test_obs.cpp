@@ -261,7 +261,9 @@ TEST(ChromeTrace, TimestampsAreMicrosecondsSortedPerTrack) {
         static_cast<std::uint64_t>(row.get_int("tid", -1)));
     const double ts = row.get_double("ts", -1.0);
     auto it = last_ts.find(key);
-    if (it != last_ts.end()) EXPECT_GE(ts, it->second);
+    if (it != last_ts.end()) {
+      EXPECT_GE(ts, it->second);
+    }
     last_ts[key] = ts;
     if (row.get_string("name", "") == "FFT" &&
         row.get_string("ph", "") == "X") {

@@ -20,6 +20,7 @@ void fill_sample(TraceLog& log) {
                         .launch_time = 0.1,
                         .completion_time = 0.3});
   log.add_task(TaskRecord{.app_instance_id = 1,
+                          .app_name = "",
                           .task_id = 10,
                           .kernel_name = "FFT",
                           .pe_name = "cpu0",
@@ -27,6 +28,7 @@ void fill_sample(TraceLog& log) {
                           .start_time = 0.05,
                           .end_time = 0.15});
   log.add_task(TaskRecord{.app_instance_id = 1,
+                          .app_name = "",
                           .task_id = 11,
                           .kernel_name = "FFT",
                           .pe_name = "fft0",
@@ -34,6 +36,7 @@ void fill_sample(TraceLog& log) {
                           .start_time = 0.20,
                           .end_time = 0.40});
   log.add_task(TaskRecord{.app_instance_id = 2,
+                          .app_name = "",
                           .task_id = 12,
                           .kernel_name = "ZIP",
                           .pe_name = "cpu0",

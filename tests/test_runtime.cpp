@@ -203,7 +203,9 @@ TEST(RuntimeDag, MixedWithApiApps) {
     t.kernel = platform::KernelId::kGeneric;
     t.impls = api::make_generic_impls({}, 1000);
     ASSERT_TRUE(app->graph.add_task(std::move(t)).ok());
-    if (id > 0) ASSERT_TRUE(app->graph.add_edge(id - 1, id).ok());
+    if (id > 0) {
+      ASSERT_TRUE(app->graph.add_edge(id - 1, id).ok());
+    }
   }
   ASSERT_TRUE(runtime.submit_dag(app).ok());
   ASSERT_TRUE(runtime

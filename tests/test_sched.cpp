@@ -1,6 +1,6 @@
 // Tests for the scheduling heuristics: assignment validity, policy
 // behavior on crafted scenarios, complexity accounting, HEFT ranks, the
-// sharded ready queue, and per-class (schedule_shard) candidate views.
+// sharded ready queue, and rounds restricted to one class's PEs.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -131,10 +131,21 @@ TEST(SchedulerFactory, RejectsUnknownName) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-class candidate views (schedule_shard)
+// Restricted rounds: schedule() over one class's PE states only
 // ---------------------------------------------------------------------------
 
 class ShardViews : public ::testing::TestWithParam<std::string> {};
+
+/// The PE states of one class, keeping platform pe_index values — the way a
+/// caller restricts a round to part of the pool.
+std::vector<PeState> class_pe_states(const platform::PlatformConfig& platform,
+                                     platform::PeClass cls) {
+  std::vector<PeState> pes;
+  for (const PeState& pe : pe_states(platform)) {
+    if (pe.cls == cls) pes.push_back(pe);
+  }
+  return pes;
+}
 
 TEST_P(ShardViews, RestrictedViewOnlyUsesAdmittedClasses) {
   auto scheduler = make_scheduler(GetParam());
@@ -143,12 +154,9 @@ TEST_P(ShardViews, RestrictedViewOnlyUsesAdmittedClasses) {
   std::vector<ReadyTask> ready;
   for (std::uint64_t i = 0; i < 8; ++i) ready.push_back(fft_task(i));
   for (std::uint64_t i = 8; i < 12; ++i) ready.push_back(generic_task(i, 500));
-  auto pes = pe_states(platform);
+  auto pes = class_pe_states(platform, platform::PeClass::kFftAccel);
   const ScheduleContext ctx{.now = 0.0, .costs = &platform.costs};
-  const std::uint32_t fft_only =
-      1u << static_cast<unsigned>(platform::PeClass::kFftAccel);
-  const ScheduleResult result =
-      (*scheduler)->schedule_shard(ready, pes, ctx, fft_only);
+  const ScheduleResult result = (*scheduler)->schedule(ready, pes, ctx);
   EXPECT_FALSE(result.assignments.empty());
   for (const Assignment& a : result.assignments) {
     // Only FFT-accelerator PEs may appear, and only FFT tasks may land
@@ -163,19 +171,16 @@ TEST_P(ShardViews, RestrictedViewHonorsTaskClassMask) {
   ASSERT_TRUE(scheduler.ok());
   const auto platform = test_platform();
   // FFT tasks whose effective mask excludes the accelerator (>2048 points):
-  // a view admitting only the FFT class must assign none of them.
+  // a round over only the FFT PEs must assign none of them.
   std::vector<ReadyTask> ready;
   for (std::uint64_t i = 0; i < 6; ++i) {
     ReadyTask t = fft_task(i, 4096);
     t.class_mask = 1u << static_cast<unsigned>(platform::PeClass::kCpu);
     ready.push_back(t);
   }
-  auto pes = pe_states(platform);
+  auto pes = class_pe_states(platform, platform::PeClass::kFftAccel);
   const ScheduleContext ctx{.now = 0.0, .costs = &platform.costs};
-  const std::uint32_t fft_only =
-      1u << static_cast<unsigned>(platform::PeClass::kFftAccel);
-  const ScheduleResult result =
-      (*scheduler)->schedule_shard(ready, pes, ctx, fft_only);
+  const ScheduleResult result = (*scheduler)->schedule(ready, pes, ctx);
   EXPECT_TRUE(result.assignments.empty());
 }
 
@@ -185,18 +190,20 @@ TEST_P(ShardViews, QuarantinedPesGetNothingOnRestrictedViews) {
   const auto platform = test_platform();
   std::vector<ReadyTask> ready;
   for (std::uint64_t i = 0; i < 10; ++i) ready.push_back(fft_task(i));
-  auto pes = pe_states(platform);
-  for (PeState& pe : pes) {
-    if (platform.pes[pe.pe_index].cls == platform::PeClass::kCpu) {
-      pe.quarantined = true;
-    }
-  }
+  auto pes = class_pe_states(platform, platform::PeClass::kCpu);
+  for (PeState& pe : pes) pe.quarantined = true;
   const ScheduleContext ctx{.now = 0.0, .costs = &platform.costs};
-  const std::uint32_t cpu_only =
-      1u << static_cast<unsigned>(platform::PeClass::kCpu);
-  const ScheduleResult result =
-      (*scheduler)->schedule_shard(ready, pes, ctx, cpu_only);
+  const ScheduleResult result = (*scheduler)->schedule(ready, pes, ctx);
   EXPECT_TRUE(result.assignments.empty());
+  // Over the whole pool the quarantined CPUs stay excluded: every task
+  // lands on the FFT accelerator.
+  auto all = pe_states(platform);
+  for (PeState& pe : all) pe.quarantined = pe.cls == platform::PeClass::kCpu;
+  const ScheduleResult full = (*scheduler)->schedule(ready, all, ctx);
+  EXPECT_EQ(full.assignments.size(), ready.size());
+  for (const Assignment& a : full.assignments) {
+    EXPECT_EQ(platform.pes[a.pe_index].cls, platform::PeClass::kFftAccel);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Names, ShardViews,

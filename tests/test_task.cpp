@@ -101,7 +101,9 @@ TEST(TaskGraph, LargeGraphTopoIsLinearish) {
   constexpr TaskId kN = 20000;
   for (TaskId id = 0; id < kN; ++id) {
     ASSERT_TRUE(g.add_task(make_task(id, platform::KernelId::kGeneric)).ok());
-    if (id > 0) ASSERT_TRUE(g.add_edge(id - 1, id).ok());
+    if (id > 0) {
+      ASSERT_TRUE(g.add_edge(id - 1, id).ok());
+    }
   }
   const auto order = g.topological_order();
   ASSERT_TRUE(order.ok());
@@ -170,6 +172,10 @@ struct BadDag {
   const char* name;
   const char* text;
 };
+
+// Print a case as its name, so the test names that gtest lists and ctest
+// registers do not embed the addresses of the string literals.
+void PrintTo(const BadDag& c, std::ostream* os) { *os << c.name; }
 
 class DagLoaderErrors : public ::testing::TestWithParam<BadDag> {};
 

@@ -34,7 +34,10 @@ TEST(TraceLog, RecordsAndComputesMetrics) {
 }
 
 TEST(TraceLog, TaskRecordDerivedTimes) {
-  TaskRecord record{.enqueue_time = 1.0, .start_time = 1.5, .end_time = 2.25};
+  TaskRecord record;
+  record.enqueue_time = 1.0;
+  record.start_time = 1.5;
+  record.end_time = 2.25;
   EXPECT_DOUBLE_EQ(record.queue_delay(), 0.5);
   EXPECT_DOUBLE_EQ(record.service_time(), 0.75);
 }
@@ -108,7 +111,9 @@ TEST(TraceLog, ConcurrentAppendsAreSafe) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&log, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        log.add_task(TaskRecord{.app_instance_id = static_cast<uint64_t>(t)});
+        TaskRecord record;
+        record.app_instance_id = static_cast<uint64_t>(t);
+        log.add_task(record);
       }
     });
   }
