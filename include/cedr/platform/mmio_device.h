@@ -107,17 +107,27 @@ class MmioDevice {
   std::uint32_t hang_polls_remaining_ = 0;
 };
 
-/// FFT/IFFT device (Xilinx FFT IP analogue). Operand A holds cfloat[size];
-/// kMode 0 = forward, 1 = inverse. Size must be a power of two <= 2048,
-/// matching the paper's IP configuration.
+/// Largest transform the paper's Xilinx FFT IP is configured for.
+inline constexpr std::size_t kFftIpMaxPoints = 2048;
+
+/// FFT/IFFT device. Operand A holds cfloat[size]; kMode 0 = forward,
+/// 1 = inverse. Size must be a power of two <= `max_points`: the default is
+/// the FPGA IP's limit; a GPU-backed device passes the kernel's limit
+/// (kernels::kMaxFftSize), since its CUDA FFT has no such cap.
 class FftDevice final : public MmioDevice {
  public:
+  explicit FftDevice(std::size_t max_points = kFftIpMaxPoints)
+      : max_points_(max_points) {}
+
   [[nodiscard]] std::string_view type_name() const noexcept override {
     return "fft";
   }
 
  protected:
   Status execute() override;
+
+ private:
+  std::size_t max_points_;
 };
 
 /// ZIP device. Operands A and B hold cfloat[size]; kMode selects the

@@ -105,8 +105,8 @@ ImplArray make_fft_impls(const cfloat* in, cfloat* out, std::size_t n,
     return run_fft_on_device(ctx, in, out, n, inverse);
   };
   // The Xilinx IP tops out at 2048 points; larger transforms fall back to
-  // CPU-only support, which runnable_on() then enforces.
-  if (n <= 2048) {
+  // CPU and GPU support, which runnable_on() then enforces.
+  if (n <= platform::kFftIpMaxPoints) {
     impls[static_cast<std::size_t>(platform::PeClass::kFftAccel)] = device_impl;
   }
   impls[static_cast<std::size_t>(platform::PeClass::kGpu)] = device_impl;

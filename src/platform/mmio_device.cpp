@@ -128,16 +128,20 @@ std::uint32_t MmioDevice::latency_polls(std::uint32_t n) const noexcept {
 
 Status FftDevice::execute() {
   const std::size_t n = reg_size_;
-  if (n == 0 || !is_power_of_two(n) || n > 2048) {
-    // The paper's IP supports up to 2048-point transforms.
-    return InvalidArgument("FFT device size must be a power of two <= 2048");
+  if (n == 0 || !is_power_of_two(n) || n > max_points_) {
+    return InvalidArgument("FFT device size must be a power of two <= " +
+                           std::to_string(max_points_));
   }
   if (operand_a_.size() != n * sizeof(cfloat)) {
     return InvalidArgument("FFT device operand size mismatch");
   }
-  result_ = operand_a_;
-  const std::span<cfloat> data(reinterpret_cast<cfloat*>(result_.data()), n);
-  return kernels::fft_inplace(data, /*inverse=*/reg_mode_ != 0);
+  // Transform the operand where it lies and hand its buffer to the result:
+  // no copy per operation. The next dma_write_a refills operand A.
+  const std::span<cfloat> data(reinterpret_cast<cfloat*>(operand_a_.data()),
+                               n);
+  CEDR_RETURN_IF_ERROR(kernels::fft_inplace(data, /*inverse=*/reg_mode_ != 0));
+  result_.swap(operand_a_);
+  return Status::Ok();
 }
 
 Status ZipDevice::execute() {

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "cedr/common/log.h"
+#include "cedr/kernels/fft.h"
 #include "cedr/obs/chrome_trace.h"
 
 namespace cedr::rt {
@@ -340,8 +341,10 @@ Status Runtime::start() {
         worker->devices.mmult = std::make_unique<platform::MmultDevice>();
         break;
       case platform::PeClass::kGpu:
-        // The Jetson GPU hosts FFT and ZIP CUDA kernels (paper §III).
-        worker->devices.fft = std::make_unique<platform::FftDevice>();
+        // The Jetson GPU hosts FFT and ZIP CUDA kernels (paper §III); its
+        // FFT takes every size the kernel does, unlike the FPGA IP.
+        worker->devices.fft =
+            std::make_unique<platform::FftDevice>(kernels::kMaxFftSize);
         worker->devices.zip = std::make_unique<platform::ZipDevice>();
         break;
       default:

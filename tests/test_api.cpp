@@ -180,6 +180,38 @@ TEST(ApiUnderRuntime, NonBlockingOverlapsAndCompletes) {
   EXPECT_EQ(runtime.trace_log().tasks().size(), kCalls);
 }
 
+TEST(ApiUnderRuntime, LargeFftRunsOnJetsonGpu) {
+  // Past the FPGA IP's 2048-point cap: the GPU must run it, not fail it.
+  constexpr std::size_t kN = 4096;
+  const auto in = random_signal(kN, 13);
+  std::vector<cedr_cplx> expected(kN);
+  ASSERT_TRUE(kernels::fft(in, expected, false).ok());
+
+  rt::RuntimeConfig config;
+  config.platform = platform::jetson(1, 1);
+  rt::Runtime runtime(config);
+  ASSERT_TRUE(runtime.start().ok());
+  std::vector<cedr_cplx> out(kN);
+  Status call_status;
+  auto instance = runtime.submit_api("fft4096", [&] {
+    call_status = CEDR_FFT(in.data(), out.data(), kN);
+  });
+  ASSERT_TRUE(instance.ok());
+  ASSERT_TRUE(runtime.wait_all(30.0).ok());
+  const rt::RuntimeStats stats = runtime.stats();
+  const std::vector<rt::PeHealth> health = runtime.pe_health();
+  EXPECT_TRUE(runtime.shutdown().ok());
+
+  EXPECT_TRUE(call_status.ok()) << call_status.message();
+  EXPECT_EQ(out, expected);
+  std::uint64_t gpu_tasks = 0;
+  for (std::size_t i = 0; i < health.size(); ++i) {
+    EXPECT_EQ(health[i].faults_seen, 0u) << health[i].pe_name;
+    if (health[i].cls == platform::PeClass::kGpu) gpu_tasks += stats.pes[i].tasks;
+  }
+  EXPECT_EQ(gpu_tasks, 1u);
+}
+
 TEST(ApiUnderRuntime, PollEventuallyTrue) {
   rt::RuntimeConfig config;
   config.platform = platform::host(1);

@@ -65,6 +65,27 @@ TEST(Zip, AllowsAliasedOutput) {
   }
 }
 
+TEST(Zip, AliasedOutputMatchesSeparateBuffer) {
+  const auto a = random_complex(256, 11);
+  const auto b = random_complex(256, 12);
+  for (const ZipOp op : {ZipOp::kMultiply, ZipOp::kConjugateMultiply,
+                         ZipOp::kAdd, ZipOp::kSubtract}) {
+    std::vector<cfloat> separate(a.size());
+    ASSERT_TRUE(zip(a, b, separate, op).ok());
+    auto out_is_a = a;
+    ASSERT_TRUE(zip(out_is_a, b, out_is_a, op).ok());
+    auto out_is_b = b;
+    ASSERT_TRUE(zip(a, out_is_b, out_is_b, op).ok());
+    EXPECT_EQ(out_is_a, separate) << static_cast<int>(op);
+    EXPECT_EQ(out_is_b, separate) << static_cast<int>(op);
+  }
+  std::vector<cfloat> scaled(a.size());
+  scale(a, cfloat(0.5f, -1.5f), scaled);
+  auto in_place = a;
+  scale(in_place, cfloat(0.5f, -1.5f), in_place);
+  EXPECT_EQ(in_place, scaled);
+}
+
 TEST(Zip, RejectsSizeMismatch) {
   std::vector<cfloat> a(4), b(5), out(4);
   EXPECT_EQ(zip(a, b, out, ZipOp::kAdd).code(), StatusCode::kInvalidArgument);

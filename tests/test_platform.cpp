@@ -265,6 +265,30 @@ TEST(FftDevice, RejectsOversizeTransforms) {
   EXPECT_EQ(device.read_reg(DeviceReg::kStatus), kStatusError);
 }
 
+TEST(FftDevice, GpuClassRunsBeyondTheIpCap) {
+  // A GPU-backed device takes every size the kernel does.
+  constexpr std::size_t kN = 4096;
+  Rng rng(3);
+  std::vector<cfloat> input(kN);
+  for (auto& v : input) {
+    v = cfloat(static_cast<float>(rng.uniform(-1, 1)),
+               static_cast<float>(rng.uniform(-1, 1)));
+  }
+  FftDevice device(kernels::kMaxFftSize);
+  for (const std::uint32_t mode : {0u, 1u}) {
+    ASSERT_TRUE(device.dma_write_a(bytes_of(input)).ok());
+    ASSERT_TRUE(device.write_reg(DeviceReg::kSize, kN).ok());
+    ASSERT_TRUE(device.write_reg(DeviceReg::kMode, mode).ok());
+    ASSERT_TRUE(device.write_reg(DeviceReg::kControl, kCmdStart).ok());
+    EXPECT_EQ(poll(device), kStatusDone);
+    std::vector<cfloat> output(kN);
+    ASSERT_TRUE(device.dma_read(writable_bytes_of(output)).ok());
+    std::vector<cfloat> expected(kN);
+    ASSERT_TRUE(kernels::fft(input, expected, mode != 0).ok());
+    EXPECT_EQ(output, expected) << "mode " << mode;
+  }
+}
+
 TEST(FftDevice, RejectsOperandSizeMismatch) {
   std::vector<cfloat> input(32);
   FftDevice device;

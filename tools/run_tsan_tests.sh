@@ -25,12 +25,14 @@ BUILD_DIR="${ROOT}/build-${SANITIZER}"
 # the scheduling layer (sharded ready queue with per-shard locks, and the
 # policy engine the runtime's main loop drives under its locks), the
 # scenario harness (concurrent sweep execution over shared compiled state),
-# and the shared-memory submission lane (SPSC rings with release/acquire
-# cursors shared across threads, doorbell arming, drain workers).
+# the shared-memory submission lane (SPSC rings with release/acquire
+# cursors shared across threads, doorbell arming, drain workers), and the
+# FFT plan cache (plans built once under call_once, then read by every
+# worker without a lock).
 TARGETS=(test_runtime test_faults test_stress test_properties test_api
          test_ipc test_ipc_concurrency test_obs test_trace_segments
          test_adapt test_sched test_engine test_sched_lookahead test_scenario
-         test_shm_ring test_dag_template)
+         test_shm_ring test_dag_template test_fft)
 
 cmake -B "${BUILD_DIR}" -S "${ROOT}" \
   -DCEDR_SANITIZE="${SANITIZER}" \
