@@ -96,6 +96,9 @@ struct RuntimeStats {
   std::size_t ready_tasks = 0;       ///< ready queue depth
   std::size_t deferred_tasks = 0;    ///< retries backing off
   std::uint64_t tasks_executed = 0;  ///< execution attempts, all PEs
+  /// Largest lead of a PE's scheduling availability over the clock, as of
+  /// the latest round or completion batch (docs/scheduling.md).
+  double avail_lead_s = 0.0;
   struct PeBusy {
     std::string name;
     std::uint64_t tasks = 0;       ///< attempts executed on this PE

@@ -3,7 +3,8 @@
 // policy the threaded runtime and the discrete-event emulator share, written
 // once — PE health (quarantine, probe windows, reinstatement), bounded retry
 // (failed-class narrowing, backoff, the deferred set), the per-round PE view
-// and cost view, and the lookahead reservation table.
+// and cost view, each PE's outstanding work, and the lookahead reservation
+// table.
 //
 // The engine owns no clock and no thread. Time-dependent calls take the
 // caller's `now` (wall seconds in the runtime, virtual seconds in the
@@ -64,6 +65,14 @@ struct Honoured {
   enum class Outcome : std::uint8_t { kNone, kHit, kStale };
   Outcome outcome = Outcome::kNone;
   std::size_t pe_index = 0;  ///< reserved PE on a hit
+  double estimate_s = 0.0;   ///< execution estimate booked on a hit
+};
+
+/// Attempts dispatched to one PE that have not ended yet, and the sum of
+/// the execution estimates the heuristics charged for them.
+struct Outstanding {
+  std::uint64_t attempts = 0;
+  double estimate_s = 0.0;
 };
 
 struct PolicyCounters {
@@ -134,8 +143,9 @@ class PolicyEngine {
   /// `learned` when offered, else the base table; a change of table bumps
   /// the reservation epoch.
   const platform::CostModel* cost_view(const platform::CostModel* learned);
-  /// Carries the availability the heuristic assigned into later rounds.
-  void commit_round();
+  /// Carries the availability the heuristic assigned into later rounds and
+  /// books every placement in `placed` as outstanding work on its PE.
+  void commit_round(std::span<const Assignment> placed = {});
   DispatchGate gate(std::size_t pe);
   /// Earliest probe window of a quarantined PE with no probe in flight;
   /// +infinity when there is none.
@@ -163,8 +173,34 @@ class PolicyEngine {
   /// Reserve-once check: a reservation from the current epoch stands.
   [[nodiscard]] bool reserved(std::uint64_t key) const;
   /// Consumes a released task's reservation. A hit (same epoch, PE not
-  /// quarantined) folds its predicted finish into the PE's availability.
+  /// quarantined) folds its predicted finish into the PE's availability and
+  /// books its estimate as outstanding work there.
   Honoured honour(std::uint64_t key);
+
+  // --- Outstanding work ----------------------------------------------------
+  // A PE's availability is the time the heuristics expect it to be free of
+  // the work they placed there: each placement pushes it out by the task's
+  // estimate. Estimates can be far off (nominal tables on a host), so an
+  // attempt that ran shorter than its estimate re-grounds its PE on what is
+  // still queued there: availability becomes min(carried, now + estimates
+  // still outstanding). The clip only ever lowers it. An attempt that took
+  // at least its estimate shows no estimate was too high and leaves
+  // availability unchanged, keeping any planned idle time in it (a
+  // lookahead reservation waiting on predicted predecessor finishes).
+  /// Books one attempt on `pe` at the estimate its placement charged.
+  void book(std::size_t pe, double estimate_s);
+  /// Drops one booking from `pe` without touching its availability: a
+  /// placement held back before it ran.
+  void unbook(std::size_t pe, double estimate_s);
+  /// One booked attempt on `pe` ended at `now`, successful or not, after
+  /// running `ran_s` seconds.
+  void complete(std::size_t pe, double estimate_s, double ran_s, double now);
+  [[nodiscard]] const Outstanding& outstanding(std::size_t pe) const {
+    return outstanding_[pe];
+  }
+  /// Largest lead of any PE's carried availability over `now`, in seconds;
+  /// 0 when every PE is free.
+  [[nodiscard]] double avail_lead(double now) const noexcept;
 
   [[nodiscard]] const PolicyCounters& counters() const noexcept {
     return counters_;
@@ -178,6 +214,7 @@ class PolicyEngine {
   struct ReservationEntry {
     std::size_t pe_index = 0;
     double predicted_finish = 0.0;
+    double estimate_s = 0.0;
     std::uint64_t epoch = 0;
   };
 
@@ -188,6 +225,7 @@ class PolicyEngine {
   std::vector<PeHealthState> health_;
   std::vector<PeState> pes_;       ///< round view, reused across rounds
   std::vector<double> available_;  ///< availability carried across rounds
+  std::vector<Outstanding> outstanding_;
   std::vector<Deferred> deferred_;
   /// Bumped by quarantine, reinstatement and cost-table changes; older
   /// reservations are stale.

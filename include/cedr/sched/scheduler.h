@@ -63,6 +63,9 @@ struct PeState {
 struct Assignment {
   std::size_t queue_index = 0;
   std::size_t pe_index = 0;  ///< PeState::pe_index of the chosen PE
+  /// Execution estimate the heuristic charged the PE for this task, in
+  /// seconds; the policy engine books it as the PE's outstanding work.
+  double estimate_s = 0.0;
 };
 
 /// Immutable inputs of one scheduling round.

@@ -19,6 +19,78 @@ double nlogn(double n) noexcept {
   return n > 1.0 ? n * std::log2(n) : 0.0;
 }
 
+using Matrix = std::array<std::array<double, 3>, 3>;
+
+/// Bounds the symmetric covariance `p` (leading `dim` block): once its trace
+/// passes dim * kInitialCovariance, every eigenvalue is capped at
+/// kInitialCovariance. Directions the data stops exciting grow by 1/lambda
+/// per update; capping them along their eigenvectors keeps P positive
+/// semi-definite, where capping the diagonal alone leaves the off-diagonal
+/// terms of a wound-up direction behind, makes P indefinite and lets the
+/// gain diverge. The trace trigger lets capped directions regrow for tens of
+/// updates before the next decomposition (cyclic Jacobi rotations, a few
+/// sweeps at this size), so the cost amortizes.
+void cap_covariance(Matrix& p, std::size_t dim) noexcept {
+  double trace = 0.0;
+  for (std::size_t i = 0; i < dim; ++i) trace += p[i][i];
+  if (trace <= static_cast<double>(dim) * kInitialCovariance) return;
+  Matrix a = p;
+  Matrix v{};
+  for (std::size_t i = 0; i < dim; ++i) v[i][i] = 1.0;
+  for (int sweep = 0; sweep < 32; ++sweep) {
+    double off = 0.0;
+    for (std::size_t i = 0; i < dim; ++i) {
+      for (std::size_t j = i + 1; j < dim; ++j) off += a[i][j] * a[i][j];
+    }
+    // Converged to the rounding noise of a P-sized entry (see above).
+    if (off <= 1e-32 * trace * trace) break;
+    for (std::size_t r = 0; r < dim; ++r) {
+      for (std::size_t q = r + 1; q < dim; ++q) {
+        if (a[r][q] == 0.0) continue;
+        const double theta = (a[q][q] - a[r][r]) / (2.0 * a[r][q]);
+        const double t = (theta >= 0.0 ? 1.0 : -1.0) /
+                         (std::abs(theta) + std::sqrt(theta * theta + 1.0));
+        const double c = 1.0 / std::sqrt(t * t + 1.0);
+        const double s = t * c;
+        for (std::size_t k = 0; k < dim; ++k) {  // A J
+          const double kr = a[k][r];
+          const double kq = a[k][q];
+          a[k][r] = c * kr - s * kq;
+          a[k][q] = s * kr + c * kq;
+        }
+        for (std::size_t k = 0; k < dim; ++k) {  // J' (A J)
+          const double rk = a[r][k];
+          const double qk = a[q][k];
+          a[r][k] = c * rk - s * qk;
+          a[q][k] = s * rk + c * qk;
+        }
+        a[r][q] = 0.0;
+        a[q][r] = 0.0;
+        for (std::size_t k = 0; k < dim; ++k) {  // V J
+          const double kr = v[k][r];
+          const double kq = v[k][q];
+          v[k][r] = c * kr - s * kq;
+          v[k][q] = s * kr + c * kq;
+        }
+      }
+    }
+  }
+  std::array<double, 3> eig{};
+  bool capped = false;
+  for (std::size_t k = 0; k < dim; ++k) {
+    eig[k] = std::min(a[k][k], kInitialCovariance);
+    capped |= eig[k] != a[k][k];
+  }
+  if (!capped) return;
+  for (std::size_t i = 0; i < dim; ++i) {
+    for (std::size_t j = 0; j < dim; ++j) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < dim; ++k) acc += v[i][k] * eig[k] * v[j][k];
+      p[i][j] = acc;
+    }
+  }
+}
+
 }  // namespace
 
 RlsFit::RlsFit(FitBasis basis, double half_life_samples) {
@@ -98,9 +170,7 @@ void RlsFit::update(double n, double service_s) {
       p_[j][i] = avg;
     }
   }
-  for (std::size_t i = 0; i < dim_; ++i) {
-    if (p_[i][i] > kInitialCovariance) p_[i][i] = kInitialCovariance;
-  }
+  cap_covariance(p_, dim_);
 }
 
 double RlsFit::predict(double n) const noexcept {

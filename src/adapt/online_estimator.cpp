@@ -124,6 +124,13 @@ void OnlineCostEstimator::publish_locked() {
     const auto kernel = static_cast<platform::KernelId>(key.first);
     const auto cls = static_cast<platform::PeClass>(key.second);
     const platform::KernelCost learned = pair.fit.coefficients();
+    // A non-finite coefficient would make every finish time of this pair
+    // NaN, and no heuristic could place the kernel at all: keep the preset.
+    if (!std::isfinite(learned.fixed_s) ||
+        !std::isfinite(learned.per_point_s) ||
+        !std::isfinite(learned.per_nlogn_s)) {
+      continue;
+    }
     const platform::KernelCost& base = preset_.get(kernel, cls);
     model->set(kernel, cls,
                platform::KernelCost{

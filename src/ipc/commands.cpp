@@ -174,6 +174,7 @@ std::string IpcServer::handle_command(const std::string& line,
                                  static_cast<double>(cache_stats.misses));
     runtime_.metrics().set_gauge("runtime.template_cache_evictions",
                                  static_cast<double>(cache_stats.evictions));
+    runtime_.metrics().set_gauge("sched.avail_lead_s", stats.avail_lead_s);
     const json::Value doc = json::Object{
         {"metrics", runtime_.metrics().to_json()},
         {"counters", runtime_.counters().to_json()},

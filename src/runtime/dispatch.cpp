@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <utility>
 
 #include "cedr/common/log.h"
@@ -89,7 +90,9 @@ void Runtime::run_scheduling_round() {
     result = scheduler_->schedule(snap.views, pe_states, ctx);
     decision_time = decision.elapsed();
   }
-  policy.commit_round();
+  policy.commit_round(result.assignments);
+  impl_->avail_lead_s.store(policy.avail_lead(t_now),
+                            std::memory_order_relaxed);
   trace_.add_sched(trace::SchedRecord{
       .time = t_now,
       .ready_tasks = snap.size(),
@@ -115,11 +118,15 @@ void Runtime::run_scheduling_round() {
     std::lock_guard health(impl_->health_mutex);
     for (const sched::Assignment& a : result.assignments) {
       const sched::DispatchGate gate = policy.gate(a.pe_index);
-      if (gate == sched::DispatchGate::kHold) continue;  // one probe at a time
+      if (gate == sched::DispatchGate::kHold) {  // one probe at a time
+        policy.unbook(a.pe_index, a.estimate_s);
+        continue;
+      }
       if (gate == sched::DispatchGate::kProbe) count("probes_dispatched");
       const sched::ReadyQueueShards::Entry& entry = snap.entries[a.queue_index];
-      batches[a.pe_index].push_back(
-          std::static_pointer_cast<InFlightTask>(entry.payload));
+      auto task = std::static_pointer_cast<InFlightTask>(entry.payload);
+      task->booked_s = a.estimate_s;
+      batches[a.pe_index].push_back(std::move(task));
       taken.push_back(entry);
     }
   }
@@ -144,6 +151,24 @@ void Runtime::run_scheduling_round() {
     impl_->sched_blocked_epoch = pre_snapshot_epoch;
     impl_->sched_blocked_until =
         std::min(policy.next_release(), policy.next_probe());
+    if (result.assignments.empty() &&
+        impl_->sched_blocked_until == std::numeric_limits<double>::infinity() &&
+        !impl_->probe_inflight()) {
+      // The heuristic placed none of the ready tasks, no timer will retry
+      // them and no probe completion will unblock them: the queue stalls
+      // until some unrelated event happens to arrive.
+      count("sched.unplaceable_rounds");
+      if (!impl_->unplaceable_warned) {
+        impl_->unplaceable_warned = true;
+        const sched::ReadyTask& head = snap.views.front();
+        CEDR_LOG(kWarn, kLogTag)
+            << "scheduling round placed none of " << snap.size()
+            << " ready tasks with no retry or probe pending (first: "
+            << platform::kernel_name(head.kernel) << ", size "
+            << head.problem_size
+            << "); further rounds count in sched.unplaceable_rounds";
+      }
+    }
   }
 }
 
@@ -383,6 +408,7 @@ void Runtime::worker_loop(Worker& worker) {
         .task = std::move(task),
         .status = std::move(status),
         .pe_index = worker.pe_index,
+        .ran_s = end - start,
     });
     if (pending.size() >= kCompletionFlushBatch || long_task) flush();
   }

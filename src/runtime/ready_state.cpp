@@ -1,8 +1,8 @@
 // The main event loop and completion processing: worker-reported results
-// go through the policy engine (PE health, bounded retry with backoff,
-// reservation honouring), then drive DAG successor release and application
-// completion. This TU owns the ready state transitions; the scheduling
-// round itself lives in dispatch.cpp.
+// go through the policy engine (outstanding work, PE health, bounded retry
+// with backoff, reservation honouring), then drive DAG successor release
+// and application completion. This TU owns the ready state transitions;
+// the scheduling round itself lives in dispatch.cpp.
 //
 // Locking (runtime_impl.h): completion records are drained under the leaf
 // event_mutex, then processed with health_mutex (PE health) and app_mutex
@@ -77,6 +77,9 @@ void Runtime::process_completions() {
     const Worker& worker = *impl_->workers[rec.pe_index];
     const std::size_t pe = rec.pe_index;
     const double t_now = now();
+    // The attempt is off its PE either way: re-ground the PE's availability
+    // on the work still booked there.
+    policy.complete(pe, inflight->booked_s, rec.ran_s, t_now);
 
     if (!status.ok()) {
       tracer_.instant(obs::Category::kFault, "fault", 0, 1 + pe, t_now,
@@ -199,6 +202,7 @@ void Runtime::process_completions() {
         const sched::Honoured honoured = policy.honour(Impl::reservation_key(
             next->app_instance_id, next->dag_task_index));
         if (honoured.outcome == sched::Honoured::Outcome::kHit) {
+          next->booked_s = honoured.estimate_s;
           if (reserved_batches.empty()) {
             reserved_batches.resize(impl_->workers.size());
           }
@@ -222,6 +226,8 @@ void Runtime::process_completions() {
     }
     impl_->workers[pe]->mailbox.push_batch(std::span(batch));
   }
+  impl_->avail_lead_s.store(policy.avail_lead(now()),
+                            std::memory_order_relaxed);
   if (finish_idle_api_apps()) any_app_finished = true;
   {
     std::lock_guard lock(impl_->app_mutex);

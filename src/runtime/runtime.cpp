@@ -225,6 +225,7 @@ RuntimeStats Runtime::stats() const {
   // lock, so a stats poll never contends with submissions or dispatch.
   out.ready_tasks = impl_->ready.size();
   out.deferred_tasks = impl_->deferred_count.load(std::memory_order_relaxed);
+  out.avail_lead_s = impl_->avail_lead_s.load(std::memory_order_relaxed);
   std::lock_guard lock(impl_->health_mutex);
   for (const auto& worker : impl_->workers) {
     const std::uint64_t tasks =
@@ -380,6 +381,9 @@ Status Runtime::start() {
           metrics_.set_gauge("ready_queue_depth", static_cast<double>(ready));
           metrics_.set_gauge("deferred_tasks", static_cast<double>(deferred));
           metrics_.set_gauge("inflight_apps", inflight);
+          metrics_.set_gauge(
+              "sched.avail_lead_s",
+              impl_->avail_lead_s.load(std::memory_order_relaxed));
           for (std::size_t s = 0; s < sched::ReadyQueueShards::kShardCount;
                ++s) {
             metrics_.set_gauge(

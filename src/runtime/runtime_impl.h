@@ -169,6 +169,8 @@ struct Runtime::InFlightTask {
   double rank = 0.0;
   double enqueue_time = 0.0;  ///< most recent (re-)enqueue
   double first_enqueue_time = 0.0;  ///< for retry-latency accounting
+  /// Execution estimate booked on the PE this attempt was dispatched to.
+  double booked_s = 0.0;
   sched::RetryState retry{};
 };
 
@@ -322,6 +324,7 @@ struct Runtime::Impl {
     std::shared_ptr<InFlightTask> task;
     Status status;
     std::size_t pe_index = 0;
+    double ran_s = 0.0;  ///< execution time on the PE
   };
   std::deque<CompletionRecord> completions;  ///< event_mutex
 
@@ -399,6 +402,16 @@ struct Runtime::Impl {
   bool sched_blocked = false;
   std::uint64_t sched_blocked_epoch = 0;
   double sched_blocked_until = 0.0;
+  /// Set once the first unplaceable round has been logged.
+  bool unplaceable_warned = false;
+  [[nodiscard]] bool probe_inflight() const {
+    for (const auto& worker : workers) {
+      if (policy.health(worker->pe_index).probe_inflight) return true;
+    }
+    return false;
+  }
+  /// policy.avail_lead(), published by the main loop for stats readers.
+  std::atomic<double> avail_lead_s{0.0};
 
   /// Reservation key of a DAG task: (app instance, dag task index).
   /// Instance ids are sequential from 1, so the shift only aliases after

@@ -16,7 +16,8 @@ PolicyEngine::PolicyEngine(std::span<const platform::PeDescriptor> pes,
     : policy_(policy),
       base_costs_(base_costs),
       health_(pes.size()),
-      available_(pes.size(), 0.0) {
+      available_(pes.size(), 0.0),
+      outstanding_(pes.size()) {
   for (std::size_t i = 0; i < pes.size(); ++i) {
     present_classes_ |= 1u << static_cast<unsigned>(pes[i].cls);
     pes_.push_back(PeState{
@@ -101,10 +102,11 @@ const platform::CostModel* PolicyEngine::cost_view(
   return view;
 }
 
-void PolicyEngine::commit_round() {
+void PolicyEngine::commit_round(std::span<const Assignment> placed) {
   for (std::size_t i = 0; i < pes_.size(); ++i) {
     available_[i] = pes_[i].available_time;
   }
+  for (const Assignment& a : placed) book(a.pe_index, a.estimate_s);
 }
 
 DispatchGate PolicyEngine::gate(std::size_t pe) {
@@ -152,6 +154,7 @@ void PolicyEngine::reserve(std::span<const Reservation> reservations) {
     reservations_[window_keys_[r.window_index - frontier_.ready_count()]] = {
         .pe_index = r.pe_index,
         .predicted_finish = r.predicted_finish,
+        .estimate_s = r.predicted_finish - r.predicted_start,
         .epoch = epoch_};
   }
 }
@@ -173,8 +176,38 @@ Honoured PolicyEngine::honour(std::uint64_t key) {
   }
   available_[entry.pe_index] =
       std::max(available_[entry.pe_index], entry.predicted_finish);
+  book(entry.pe_index, entry.estimate_s);
   ++counters_.reservation_hits;
-  return {.outcome = Honoured::Outcome::kHit, .pe_index = entry.pe_index};
+  return {.outcome = Honoured::Outcome::kHit,
+          .pe_index = entry.pe_index,
+          .estimate_s = entry.estimate_s};
+}
+
+void PolicyEngine::book(std::size_t pe, double estimate_s) {
+  Outstanding& o = outstanding_[pe];
+  ++o.attempts;
+  o.estimate_s += estimate_s;
+}
+
+void PolicyEngine::unbook(std::size_t pe, double estimate_s) {
+  Outstanding& o = outstanding_[pe];
+  if (o.attempts == 0) return;  // nothing booked here
+  // Exactly zero once the PE drains, so add/subtract residue never builds.
+  o.estimate_s = --o.attempts == 0 ? 0.0
+                                   : std::max(o.estimate_s - estimate_s, 0.0);
+}
+
+void PolicyEngine::complete(std::size_t pe, double estimate_s, double ran_s,
+                            double now) {
+  unbook(pe, estimate_s);
+  if (ran_s + kTimeEps >= estimate_s) return;  // the estimate held
+  available_[pe] = std::min(available_[pe], now + outstanding_[pe].estimate_s);
+}
+
+double PolicyEngine::avail_lead(double now) const noexcept {
+  double lead = 0.0;
+  for (const double a : available_) lead = std::max(lead, a - now);
+  return lead;
 }
 
 }  // namespace cedr::sched

@@ -228,19 +228,22 @@ FrontierResult HeftLaScheduler::schedule_window(Frontier& frontier) {
       // sub-slot packing could not change when they actually run.
       const auto& est_c = view.class_estimates(q);
       double best_finish = kInf;
+      double best_exec = 0.0;
       std::size_t best_slot = kNoSlot;
       for (const std::size_t slot : view.cost_eligible(q)) {
-        const double fin =
-            avail_[slot] + est_c[cls_of_[slot]] * inv_speed_[slot];
+        const double exec = est_c[cls_of_[slot]] * inv_speed_[slot];
+        const double fin = avail_[slot] + exec;
         if (fin < best_finish) {
           best_finish = fin;
+          best_exec = exec;
           best_slot = slot;
         }
       }
       if (best_slot != kNoSlot) {
         avail_[best_slot] = best_finish;
         finish_[q] = best_finish;
-        result.assignments.push_back({q, pes[best_slot].pe_index});
+        result.assignments.push_back(
+            {q, pes[best_slot].pe_index, best_exec});
         ready_finish_[best_slot] = best_finish;
       }
       continue;
@@ -372,13 +375,16 @@ FrontierResult EftLaScheduler::schedule_window(Frontier& frontier) {
     const auto& est_c = view.class_estimates(q);
     double best_finish = kInf;
     double best_start = est;
+    double best_exec = 0.0;
     std::size_t best_slot = kNoSlot;
     for (const std::size_t slot : view.cost_eligible(q)) {
       const double start = std::max(est, avail_[slot]);
-      const double fin = start + est_c[cls_of_[slot]] * inv_speed_[slot];
+      const double exec = est_c[cls_of_[slot]] * inv_speed_[slot];
+      const double fin = start + exec;
       if (fin < best_finish) {
         best_finish = fin;
         best_start = start;
+        best_exec = exec;
         best_slot = slot;
       }
     }
@@ -386,7 +392,7 @@ FrontierResult EftLaScheduler::schedule_window(Frontier& frontier) {
     avail_[best_slot] = best_finish;
     finish_[q] = best_finish;
     if (q < frontier.ready_count()) {
-      result.assignments.push_back({q, pes[best_slot].pe_index});
+      result.assignments.push_back({q, pes[best_slot].pe_index, best_exec});
       ready_finish_[best_slot] = std::max(ready_finish_[best_slot], best_finish);
     } else {
       result.reservations.push_back(

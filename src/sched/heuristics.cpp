@@ -50,9 +50,9 @@ ScheduleResult RoundRobinScheduler::schedule(CandidateView& view) {
     result.comparisons += (slot + p_count - cursor) % p_count + 1;
     next_pe_ = (slot + 1) % p_count;
     PeState& pe = pes[slot];
-    pe.available_time =
-        std::max(ctx.now, pe.available_time) + view.exec_estimate(q, pe);
-    result.assignments.push_back({q, pe.pe_index});
+    const double exec = view.exec_estimate(q, pe);
+    pe.available_time = std::max(ctx.now, pe.available_time) + exec;
+    result.assignments.push_back({q, pe.pe_index, exec});
   }
   return result;
 }
@@ -86,7 +86,7 @@ ScheduleResult RoundRobinScheduler::schedule(std::span<const ReadyTask> ready,
           ctx.costs->estimate(t.kernel, pe.cls, t.problem_size, t.data_bytes) /
           pe.speed;
       pe.available_time = std::max(ctx.now, pe.available_time) + exec;
-      result.assignments.push_back({q, pe.pe_index});
+      result.assignments.push_back({q, pe.pe_index, exec});
       placed = true;
       break;
     }
@@ -108,19 +108,21 @@ ScheduleResult EftScheduler::schedule(CandidateView& view) {
     // identical.
     result.comparisons += p_count;
     double best = kInf;
+    double best_exec = 0.0;
     std::size_t best_slot = kNoSlot;
     for (const std::size_t slot : view.cost_eligible(q)) {
       const PeState& pe = pes[slot];
-      const double finish =
-          std::max(ctx.now, pe.available_time) + view.exec_estimate(q, pe);
+      const double exec = view.exec_estimate(q, pe);
+      const double finish = std::max(ctx.now, pe.available_time) + exec;
       if (finish < best) {
         best = finish;
+        best_exec = exec;
         best_slot = slot;
       }
     }
     if (best_slot == kNoSlot) continue;  // no PE supports this kernel
     pes[best_slot].available_time = best;
-    result.assignments.push_back({q, pes[best_slot].pe_index});
+    result.assignments.push_back({q, pes[best_slot].pe_index, best_exec});
   }
   return result;
 }
@@ -150,6 +152,7 @@ ScheduleResult EtfScheduler::schedule(CandidateView& view) {
 
   struct Entry {
     double finish;
+    double exec;
     std::size_t q;
     std::size_t pe_slot;   ///< index into `pes`
     std::uint64_t stamp;   ///< pes[pe_slot] version when evaluated
@@ -160,13 +163,14 @@ ScheduleResult EtfScheduler::schedule(CandidateView& view) {
   std::vector<std::uint64_t> version(pes.size(), 0);
 
   const auto best_for = [&](std::size_t q) -> Entry {
-    Entry e{kInf, q, 0, 0};
+    Entry e{kInf, 0.0, q, 0, 0};
     for (const std::size_t slot : view.cost_eligible(q)) {
       const PeState& pe = pes[slot];
-      const double finish =
-          std::max(ctx.now, pe.available_time) + view.exec_estimate(q, pe);
+      const double exec = view.exec_estimate(q, pe);
+      const double finish = std::max(ctx.now, pe.available_time) + exec;
       if (finish < e.finish) {
         e.finish = finish;
+        e.exec = exec;
         e.pe_slot = slot;
         e.stamp = version[slot];
       }
@@ -197,7 +201,7 @@ ScheduleResult EtfScheduler::schedule(CandidateView& view) {
     PeState& pe = pes[e.pe_slot];
     pe.available_time = e.finish;
     ++version[e.pe_slot];
-    result.assignments.push_back({e.q, pe.pe_index});
+    result.assignments.push_back({e.q, pe.pe_index, e.exec});
   }
   return result;
 }
@@ -224,19 +228,21 @@ ScheduleResult HeftRtScheduler::schedule(CandidateView& view) {
   for (const std::size_t q : order) {
     result.comparisons += p_count;
     double best = kInf;
+    double best_exec = 0.0;
     std::size_t best_slot = kNoSlot;
     for (const std::size_t slot : view.cost_eligible(q)) {
       const PeState& pe = pes[slot];
-      const double finish =
-          std::max(ctx.now, pe.available_time) + view.exec_estimate(q, pe);
+      const double exec = view.exec_estimate(q, pe);
+      const double finish = std::max(ctx.now, pe.available_time) + exec;
       if (finish < best) {
         best = finish;
+        best_exec = exec;
         best_slot = slot;
       }
     }
     if (best_slot == kNoSlot) continue;
     pes[best_slot].available_time = best;
-    result.assignments.push_back({q, pes[best_slot].pe_index});
+    result.assignments.push_back({q, pes[best_slot].pe_index, best_exec});
   }
   return result;
 }
@@ -262,7 +268,7 @@ ScheduleResult MetScheduler::schedule(CandidateView& view) {
     // MET ignores queueing, which is exactly its pathology.
     PeState& pe = pes[best_slot];
     pe.available_time = std::max(ctx.now, pe.available_time) + best;
-    result.assignments.push_back({q, pe.pe_index});
+    result.assignments.push_back({q, pe.pe_index, best});
   }
   return result;
 }
@@ -279,9 +285,9 @@ ScheduleResult RandomScheduler::schedule(CandidateView& view) {
     const std::span<const std::size_t> eligible = view.support_eligible(q);
     if (eligible.empty()) continue;
     PeState& pe = pes[eligible[rng_.next_below(eligible.size())]];
-    pe.available_time =
-        std::max(ctx.now, pe.available_time) + view.exec_estimate(q, pe);
-    result.assignments.push_back({q, pe.pe_index});
+    const double exec = view.exec_estimate(q, pe);
+    pe.available_time = std::max(ctx.now, pe.available_time) + exec;
+    result.assignments.push_back({q, pe.pe_index, exec});
   }
   return result;
 }

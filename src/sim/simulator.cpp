@@ -14,6 +14,7 @@
 #endif
 
 #include "cedr/common/stopwatch.h"
+#include "cedr/platform/mmio_device.h"
 #include "cedr/sched/engine.h"
 #include "cedr/sched/frontier.h"
 #include "cedr/sched/ready_queue.h"
@@ -40,6 +41,7 @@ struct SimTask {
   double rank = 0.0;
   double ready_time = 0.0;
   std::uint32_t class_mask = 0xffffffffu;  ///< implementation classes
+  double booked_s = 0.0;  ///< estimate booked on the PE it was dispatched to
   sched::RetryState retry{};
 };
 
@@ -392,7 +394,10 @@ class Engine {
       const auto cls = static_cast<platform::PeClass>(c);
       if (!platform::pe_class_supports(cls, kernel)) continue;
       // The ZCU102 FFT IP caps at 2048 points (paper §III).
-      if (cls == platform::PeClass::kFftAccel && size > 2048) continue;
+      if (cls == platform::PeClass::kFftAccel &&
+          size > platform::kFftIpMaxPoints) {
+        continue;
+      }
       mask |= 1u << c;
     }
     return mask;
@@ -450,6 +455,7 @@ class Engine {
           tr()->flow(obs::EventKind::kFlowStep, obs::Category::kSched,
                      "dispatch_reserved", 0, 0, now_, key);
         }
+        task.booked_s = honoured.estimate_s;
         dispatch_to_worker(honoured.pe_index, std::move(task));
         return;
       }
@@ -541,6 +547,7 @@ class Engine {
     w.busy = false;
     w.current_faulted = false;
     ++tasks_executed_;
+    policy_.complete(w.pe_index, task.booked_s, now_ - started, now_);
     if (config_.service_time_us != nullptr) {
       config_.service_time_us->record((now_ - started) * 1e6);
     }
@@ -843,11 +850,12 @@ class Engine {
       }
     }
     total_comparisons_ += result.comparisons;
-    policy_.commit_round();
+    // Booked at decision time: a completion on the same PE before the
+    // decided tasks reach it must not re-ground their time away.
+    policy_.commit_round(result.assignments);
     pending_assignments_.clear();
     for (const sched::Assignment& a : result.assignments) {
-      pending_assignments_.emplace_back(views[a.queue_index].task_key,
-                                        a.pe_index);
+      pending_assignments_.emplace_back(views[a.queue_index].task_key, a);
       if (tr() != nullptr) {
         tr()->flow(obs::EventKind::kFlowStep, obs::Category::kSched,
                    "dispatch", 0, 0, now_, views[a.queue_index].task_key);
@@ -982,10 +990,10 @@ class Engine {
       // the order the legacy deque walked — gating probes against the
       // *current* worker state; tasks pushed mid-round and assignments a
       // probe absorbed stay queued for the next round.
-      std::unordered_map<std::uint64_t, std::size_t> assigned;
+      std::unordered_map<std::uint64_t, sched::Assignment> assigned;
       assigned.reserve(pending_assignments_.size());
-      for (const auto& [key, pe_index] : pending_assignments_) {
-        assigned.emplace(key, pe_index);
+      for (const auto& [key, a] : pending_assignments_) {
+        assigned.emplace(key, a);
       }
       std::vector<sched::ReadyQueueShards::Entry> taken;
       taken.reserve(assigned.size());
@@ -993,11 +1001,15 @@ class Engine {
            round_snapshot_.entries) {
         const auto it = assigned.find(entry.view.task_key);
         if (it == assigned.end()) continue;
-        if (policy_.gate(it->second) == sched::DispatchGate::kHold) continue;
+        const sched::Assignment& a = it->second;
+        if (policy_.gate(a.pe_index) == sched::DispatchGate::kHold) {
+          policy_.unbook(a.pe_index, a.estimate_s);
+          continue;
+        }
         taken.push_back(entry);
-        dispatch_to_worker(
-            it->second,
-            std::move(*std::static_pointer_cast<SimTask>(entry.payload)));
+        SimTask& task = *std::static_pointer_cast<SimTask>(entry.payload);
+        task.booked_s = a.estimate_s;
+        dispatch_to_worker(a.pe_index, std::move(task));
       }
       ready_.remove(taken);
       round_snapshot_ = {};
@@ -1132,7 +1144,7 @@ class Engine {
   bool main_item_is_sched_ = false;
   bool main_idle_streak_ = true;
   double main_remaining_ = 0.0;
-  std::vector<std::pair<std::uint64_t, std::size_t>> pending_assignments_;
+  std::vector<std::pair<std::uint64_t, sched::Assignment>> pending_assignments_;
 
   double now_ = 0.0;
   double runtime_overhead_ = 0.0;

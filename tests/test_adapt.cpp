@@ -7,8 +7,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <latch>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cedr/adapt/fit.h"
@@ -94,6 +96,56 @@ TEST(RlsFitTest, NoDecayAveragesWholeHistory) {
   for (int i = 0; i < 100; ++i) fit.update(256.0, 3.0 * eval(kTruth, 256));
   EXPECT_NEAR(fit.predict(256.0), 2.0 * eval(kTruth, 256),
               0.05 * eval(kTruth, 256));
+}
+
+/// A seeded stream shaped like a fan-out DAG's FFT service times: runs of
+/// 1024-point then 2048-point observations of random length, +-20 % noise.
+/// Two sizes excite two of the three polynomial directions, so the third
+/// covariance direction winds up by 1/lambda on every update.
+class BurstFeed {
+ public:
+  explicit BurstFeed(std::uint64_t seed) : state_(seed) {}
+
+  /// Next (problem size, service seconds) observation.
+  std::pair<std::size_t, double> next() {
+    if (run_left_ == 0) {
+      n_ = uniform() < 0.5 ? 1024 : 2048;
+      run_left_ = 1 + static_cast<int>(uniform() * 12.0);
+    }
+    --run_left_;
+    const double mean = n_ == 1024 ? 15e-6 : 20e-6;
+    return {n_, mean * (0.8 + 0.4 * uniform())};
+  }
+
+ private:
+  double uniform() {
+    state_ = state_ * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<double>(state_ >> 11) * 0x1.0p-53;
+  }
+
+  std::uint64_t state_;
+  std::size_t n_ = 1024;
+  int run_left_ = 0;
+};
+
+TEST(RlsFitTest, TwoSizeBurstsStayFiniteAndAccurate) {
+  // With the covariance capped only on its diagonal this stream turned the
+  // fit non-finite after 65k-85k updates (half-life 64, full basis).
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    RlsFit fit(FitBasis::kPoly, /*half_life_samples=*/64.0);
+    BurstFeed feed(seed);
+    for (int i = 0; i < 200000; ++i) {
+      const auto [n, service_s] = feed.next();
+      fit.update(static_cast<double>(n), service_s);
+      const double p1024 = fit.predict(1024.0);
+      const double p2048 = fit.predict(2048.0);
+      ASSERT_TRUE(std::isfinite(p1024) && std::isfinite(p2048))
+          << "seed " << seed << ", update " << i;
+    }
+    // A 64-sample half-life over +-20 % noise: within 10 % of the means.
+    EXPECT_NEAR(fit.predict(1024.0), 15e-6, 1.5e-6) << "seed " << seed;
+    EXPECT_NEAR(fit.predict(2048.0), 20e-6, 2.0e-6) << "seed " << seed;
+  }
 }
 
 TEST(FitAffineTest, SingleSizeFallsBackToMean) {
@@ -241,6 +293,30 @@ TEST(OnlineEstimatorTest, StepChangeIsTrackedWithinOutlierBounds) {
     EXPECT_NEAR(eval(served, n), 3.0 * eval(truth, n),
                 0.10 * 3.0 * eval(truth, n));
   }
+}
+
+TEST(OnlineEstimatorTest, TwoSizeBurstsNeverServeANonFiniteCost) {
+  // Defaults (half-life 64, publish every 16 accepted observations), fed
+  // the burst stream for CPU FFTs. A NaN served here made every EFT finish
+  // time NaN, so no PE ever won and the runtime stopped placing the kernel.
+  const platform::PlatformConfig host = platform::host(2, 1);
+  AdaptConfig config;
+  config.enabled = true;
+  OnlineCostEstimator estimator(config, host.costs);
+  BurstFeed feed(7);
+  for (int i = 0; i < 200000; ++i) {
+    const auto [n, service_s] = feed.next();
+    estimator.observe(KernelId::kFft, PeClass::kCpu, n, 8 * n, service_s);
+    if (i % 1000 != 999) continue;
+    const auto snap = estimator.snapshot();
+    for (const std::size_t size : {1024u, 2048u}) {
+      const double cost =
+          snap->estimate(KernelId::kFft, PeClass::kCpu, size, 8 * size);
+      ASSERT_TRUE(std::isfinite(cost) && cost > 0.0)
+          << "observation " << i << ", " << size << " points";
+    }
+  }
+  EXPECT_GT(estimator.publishes(), 1000u);
 }
 
 TEST(OnlineEstimatorTest, OutliersAreRejectedAfterWarmup) {

@@ -278,3 +278,107 @@ TEST_F(PolicyEngineTest, HeuristicAvailabilityCarriesAcrossRounds) {
 
 }  // namespace
 }  // namespace cedr::sched
+
+// --- Outstanding work: booking, completion and re-grounding ---------------
+
+namespace cedr::sched {
+namespace {
+
+/// `count` placements on `pe` at `estimate_s` each, committed as a heuristic
+/// would leave them: availability chained from `now`.
+void place(PolicyEngine& engine, std::size_t pe, std::size_t count,
+           double estimate_s, double now) {
+  std::span<PeState> pes = engine.round_pes(now);
+  std::vector<Assignment> placed;
+  for (std::size_t i = 0; i < count; ++i) {
+    pes[pe].available_time =
+        std::max(now, pes[pe].available_time) + estimate_s;
+    placed.push_back({.queue_index = i, .pe_index = pe,
+                      .estimate_s = estimate_s});
+  }
+  engine.commit_round(placed);
+}
+
+TEST_F(PolicyEngineTest, CompletionRegroundsAvailability) {
+  PolicyEngine engine = make_engine();
+  // Three tasks priced at 1 s each; each really takes 0.1 s.
+  place(engine, kCpu0, 3, 1.0, clock_.t);
+  EXPECT_DOUBLE_EQ(engine.avail_lead(clock_.t), 3.0);
+  engine.complete(kCpu0, 1.0, 0.1, clock_.advance(0.1));
+  EXPECT_DOUBLE_EQ(engine.round_pes(clock_.t)[kCpu0].available_time, 2.1);
+  engine.complete(kCpu0, 1.0, 0.1, clock_.advance(0.1));
+  EXPECT_DOUBLE_EQ(engine.round_pes(clock_.t)[kCpu0].available_time, 1.2);
+  // Drained: the PE is free from the moment its last attempt ended.
+  engine.complete(kCpu0, 1.0, 0.1, clock_.advance(0.1));
+  EXPECT_DOUBLE_EQ(engine.avail_lead(clock_.t), 0.0);
+  const double later = clock_.advance(0.1);
+  EXPECT_DOUBLE_EQ(engine.round_pes(later)[kCpu0].available_time, later);
+  // Other PEs never saw a placement.
+  EXPECT_DOUBLE_EQ(engine.round_pes(clock_.t)[kFft0].available_time, clock_.t);
+}
+
+TEST_F(PolicyEngineTest, FailedAttemptRegroundsToo) {
+  PolicyEngine engine = make_engine();
+  place(engine, kFft0, 2, 0.5, clock_.t);
+  const double now = clock_.advance(0.01);
+  fail_once(engine, kFft0, now);
+  engine.complete(kFft0, 0.5, 0.0, now);
+  EXPECT_DOUBLE_EQ(engine.round_pes(now)[kFft0].available_time, now + 0.5);
+}
+
+TEST_F(PolicyEngineTest, BookingAndCompletingAreExact) {
+  PolicyEngine engine = make_engine();
+  // Sums of these are not exact in binary floating point.
+  const double estimates[] = {0.1, 0.2, 0.3, 0.7, 1e-7};
+  for (const double e : estimates) engine.book(kCpu0, e);
+  EXPECT_EQ(engine.outstanding(kCpu0).attempts, 5u);
+  EXPECT_NEAR(engine.outstanding(kCpu0).estimate_s, 1.3000001, 1e-12);
+  // Completed in another order; the held placement is dropped unrun.
+  engine.complete(kCpu0, 0.7, 0.7, 1.0);
+  engine.unbook(kCpu0, 0.2);
+  engine.complete(kCpu0, 1e-7, 1e-7, 1.0);
+  engine.complete(kCpu0, 0.1, 0.1, 1.0);
+  EXPECT_EQ(engine.outstanding(kCpu0).attempts, 1u);
+  EXPECT_NEAR(engine.outstanding(kCpu0).estimate_s, 0.3, 1e-12);
+  engine.complete(kCpu0, 0.3, 0.3, 1.0);
+  EXPECT_EQ(engine.outstanding(kCpu0).attempts, 0u);
+  EXPECT_EQ(engine.outstanding(kCpu0).estimate_s, 0.0);  // no residue
+  // A completion with nothing booked changes nothing.
+  engine.complete(kCpu0, 1.0, 0.0, 1.0);
+  EXPECT_EQ(engine.outstanding(kCpu0).attempts, 0u);
+  EXPECT_EQ(engine.outstanding(kCpu0).estimate_s, 0.0);
+  EXPECT_EQ(engine.outstanding(kFft0).attempts, 0u);
+}
+
+TEST_F(PolicyEngineTest, AttemptAtOrPastItsEstimateLeavesAvailabilityUnchanged) {
+  PolicyEngine engine = make_engine();
+  // A reservation hit plans fft0 busy until 0.25 s, a 0.25 s estimate
+  // starting now; a round then chains a 0.1 s task behind it.
+  reserve_one(engine, /*key=*/4, kFft0, 0.25);
+  ASSERT_EQ(engine.honour(4).outcome, Honoured::Outcome::kHit);
+  EXPECT_EQ(engine.outstanding(kFft0).attempts, 1u);
+  place(engine, kFft0, 1, 0.1, clock_.t);
+  const double planned = engine.round_pes(clock_.t)[kFft0].available_time;
+  EXPECT_DOUBLE_EQ(planned, 0.35);
+  // Early completions that took exactly or more than their estimates leave
+  // the plan alone, even though now + outstanding is below it.
+  engine.complete(kFft0, 0.1, 0.1, clock_.advance(0.05));
+  EXPECT_EQ(engine.round_pes(clock_.t)[kFft0].available_time, planned);
+  engine.complete(kFft0, 0.25, 0.3, clock_.advance(0.05));
+  EXPECT_EQ(engine.round_pes(clock_.t)[kFft0].available_time, planned);
+  EXPECT_EQ(engine.outstanding(kFft0).attempts, 0u);
+}
+
+TEST_F(PolicyEngineTest, HeldPlacementIsUnbookedWithoutRegrounding) {
+  PolicyEngine engine = make_engine();
+  place(engine, kCpu0, 2, 1.0, clock_.t);
+  engine.unbook(kCpu0, 1.0);
+  EXPECT_EQ(engine.outstanding(kCpu0).attempts, 1u);
+  EXPECT_DOUBLE_EQ(engine.round_pes(clock_.t)[kCpu0].available_time, 2.0);
+  // The next short attempt re-grounds on what is really left.
+  engine.complete(kCpu0, 1.0, 0.1, clock_.advance(0.1));
+  EXPECT_DOUBLE_EQ(engine.round_pes(clock_.t)[kCpu0].available_time, 0.1);
+}
+
+}  // namespace
+}  // namespace cedr::sched

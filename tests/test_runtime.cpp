@@ -2,7 +2,9 @@
 // execution, tracing, counters and error paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 
 #include "cedr/api/impls.h"
 #include "cedr/cedr.h"
@@ -297,6 +299,49 @@ TEST(Runtime, AcceleratorPeExecutesThroughDevice) {
   ASSERT_TRUE(runtime.wait_all(30.0).ok());
   EXPECT_TRUE(runtime.shutdown().ok());
   EXPECT_GT(runtime.counters().get("tasks_on_fft0"), 0u);
+}
+
+TEST(RuntimeSched, HostEftAvailabilityLeadStaysBounded) {
+  // The host preset prices kernels with nominal ZCU102 costs, milliseconds
+  // for a 2048-point FFT, while these tasks have no implementation and end
+  // in microseconds. Without re-grounding on completion every placement
+  // pushes its PE's availability out by the nominal cost, and the lead over
+  // the clock grows by seconds per second of load.
+  Runtime runtime(small_config());
+  ASSERT_TRUE(runtime.start().ok());
+  auto app = std::make_shared<task::AppDescriptor>();
+  app->name = "fanout";
+  constexpr task::TaskId kWidth = 8;
+  for (task::TaskId id = 0; id < kWidth; ++id) {
+    task::Task t;
+    t.id = id;
+    t.name = "fft" + std::to_string(id);
+    t.kernel = platform::KernelId::kFft;
+    t.problem_size = 2048;
+    ASSERT_TRUE(app->graph.add_task(std::move(t)).ok());
+  }
+  std::vector<std::uint64_t> window;
+  double max_lead = 0.0;
+  std::uint64_t instances = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1500);
+  while (std::chrono::steady_clock::now() < deadline) {
+    while (window.size() < 8) {
+      auto id = runtime.submit_dag(app);
+      ASSERT_TRUE(id.ok());
+      window.push_back(*id);
+    }
+    ASSERT_TRUE(runtime.wait_app(window.front(), 30.0).ok());
+    window.erase(window.begin());
+    ++instances;
+    max_lead = std::max(max_lead, runtime.stats().avail_lead_s);
+  }
+  ASSERT_TRUE(runtime.wait_all(30.0).ok());
+  EXPECT_TRUE(runtime.shutdown().ok());
+  ASSERT_GT(instances, 100u);
+  // Bounded by the estimates of the work still queued on a PE: a few
+  // instances' worth of nominal cost, not the run's accumulated surplus.
+  EXPECT_LT(max_lead, 0.1) << instances << " instances";
 }
 
 }  // namespace

@@ -110,6 +110,35 @@ TEST_P(AllSchedulers, RespectsClassMask) {
   }
 }
 
+TEST_P(AllSchedulers, AssignmentsCarryTheEstimateTheyCharged) {
+  // The policy engine books Assignment::estimate_s as the PE's outstanding
+  // work, so it must be the execution estimate the placement pushed the
+  // PE's availability out by.
+  auto scheduler = make_scheduler(GetParam());
+  ASSERT_TRUE(scheduler.ok());
+  const auto platform = test_platform();
+  std::vector<ReadyTask> ready;
+  for (std::uint64_t i = 0; i < 10; ++i) ready.push_back(fft_task(i));
+  for (std::uint64_t i = 10; i < 14; ++i) ready.push_back(generic_task(i, 800));
+  auto pes = pe_states(platform);
+  const ScheduleContext ctx{.now = 0.0, .costs = &platform.costs};
+  const ScheduleResult result = (*scheduler)->schedule(ready, pes, ctx);
+  ASSERT_EQ(result.assignments.size(), ready.size());
+  std::vector<double> charged(pes.size(), 0.0);
+  for (const Assignment& a : result.assignments) {
+    const ReadyTask& t = ready[a.queue_index];
+    EXPECT_DOUBLE_EQ(a.estimate_s,
+                     platform.costs.estimate(t.kernel, pes[a.pe_index].cls,
+                                             t.problem_size, t.data_bytes));
+    EXPECT_GT(a.estimate_s, 0.0);
+    charged[a.pe_index] += a.estimate_s;
+  }
+  // Every PE started free at now = 0, so its availability is the sum.
+  for (std::size_t i = 0; i < pes.size(); ++i) {
+    EXPECT_NEAR(pes[i].available_time, charged[i], 1e-12) << "PE " << i;
+  }
+}
+
 std::vector<std::string> all_scheduler_names() {
   std::vector<std::string> names;
   for (const std::string_view name : scheduler_names()) {

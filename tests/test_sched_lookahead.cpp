@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <thread>
 #include <vector>
 
@@ -132,6 +133,34 @@ TEST(HeftLa, ReadyOnlyWindowMatchesHeftRt) {
   }
   for (std::size_t i = 0; i < rt_pes.size(); ++i) {
     EXPECT_DOUBLE_EQ(la_pes[i].available_time, rt_pes[i].available_time);
+  }
+}
+
+TEST(LookaheadWindows, ReadyAssignmentsCarryTheEstimateTheyCharged) {
+  const auto platform = test_platform();
+  const ScheduleContext ctx{.now = 0.0, .costs = &platform.costs};
+  std::vector<ReadyTask> ready;
+  for (std::uint64_t i = 0; i < 9; ++i) ready.push_back(fft_task(i, 1.0));
+  for (std::uint64_t i = 9; i < 12; ++i) ready.push_back(generic_task(i, 1.0));
+  HeftLaScheduler heft_la;
+  EftLaScheduler eft_la;
+  for (LookaheadScheduler* scheduler :
+       std::initializer_list<LookaheadScheduler*>{&heft_la, &eft_la}) {
+    auto pes = pe_states(platform);
+    Frontier frontier;
+    frontier.reset(pes, ctx);
+    for (const ReadyTask& t : ready) frontier.add_ready(t);
+    const FrontierResult result = scheduler->schedule_window(frontier);
+    ASSERT_EQ(result.assignments.size(), ready.size()) << scheduler->name();
+    for (const Assignment& a : result.assignments) {
+      const ReadyTask& t = ready[a.queue_index];
+      const PeState& pe = pes[a.pe_index];
+      EXPECT_DOUBLE_EQ(a.estimate_s, platform.costs.estimate(
+                                         t.kernel, pe.cls, t.problem_size,
+                                         t.data_bytes) /
+                                         pe.speed)
+          << scheduler->name();
+    }
   }
 }
 
