@@ -273,7 +273,7 @@ int main(int argc, char** argv) {
   ipc::IpcServerConfig server_config;
   server_config.max_inflight_apps = max_inflight;
   if (workers > 0) server_config.worker_threads = workers;
-  ipc::IpcServer server(runtime, socket, "", server_config);
+  ipc::IpcServer server(runtime, socket, server_config);
   if (const Status s = server.start(); !s.ok()) {
     std::fprintf(stderr, "IPC server failed: %s\n", s.to_string().c_str());
     return 1;

@@ -104,7 +104,7 @@ int main() {
   });
   if (!api_instance.ok()) return 1;
   (void)runtime.wait_app(*api_instance);
-  const std::size_t api_tasks = runtime.trace_log().tasks().size();
+  const std::uint64_t api_tasks = runtime.stats().tasks_executed;
 
   // --- DAG workaround: the whole loop is one opaque GENERIC node. -------
   auto dag_signal = std::make_shared<std::vector<cedr_cplx>>(
@@ -122,22 +122,27 @@ int main() {
   (void)app->graph.add_task(std::move(node));
   if (!runtime.submit_dag(app).ok()) return 1;
   (void)runtime.wait_all();
-  const std::size_t total_tasks = runtime.trace_log().tasks().size();
+  const rt::RuntimeStats stats = runtime.stats();
+  const std::uint64_t total_tasks = stats.tasks_executed;
+  std::uint64_t accel_tasks = 0;
+  for (const auto& pe : stats.pes) {
+    if (pe.name == "fft0") accel_tasks = pe.tasks;
+  }
   (void)runtime.shutdown();
 
   std::printf("iterative spectral refinement, %d-point FFTs\n",
               static_cast<int>(kN));
   std::printf(
-      "  CEDR-API version:  %2d data-dependent iterations -> %zu scheduled "
+      "  CEDR-API version:  %2d data-dependent iterations -> %llu scheduled "
       "tasks (FFT accelerator eligible for every one)\n",
-      api_iterations, api_tasks);
+      api_iterations, static_cast<unsigned long long>(api_tasks));
   std::printf(
-      "  DAG workaround:    %2d iterations collapsed into %zu scheduled "
+      "  DAG workaround:    %2d iterations collapsed into %llu scheduled "
       "task (CPU-only, opaque to the scheduler)\n",
-      *dag_iterations, total_tasks - api_tasks);
+      *dag_iterations,
+      static_cast<unsigned long long>(total_tasks - api_tasks));
   std::printf("  accelerator executions during the API run: %llu\n",
-              static_cast<unsigned long long>(
-                  runtime.counters().get("tasks_on_fft0")));
+              static_cast<unsigned long long>(accel_tasks));
   const bool ok = api_iterations == *dag_iterations && api_iterations > 1;
   std::printf("  identical results from both models: %s\n",
               ok ? "yes" : "NO");

@@ -5,7 +5,7 @@
 // (an injection-rate-style schedule) and interleave on the shared PE pool;
 // a DAG-based Pulse Doppler instance is mixed in to show both programming
 // models coexisting. Prints the per-application execution times and queue
-// statistics from the runtime trace.
+// statistics from the runtime's span stream.
 
 #include <chrono>
 #include <cstdio>
@@ -15,6 +15,7 @@
 #include "cedr/apps/pulse_doppler.h"
 #include "cedr/apps/wifi_tx.h"
 #include "cedr/runtime/runtime.h"
+#include "cedr/trace/report.h"
 
 using namespace cedr;
 
@@ -68,28 +69,25 @@ int main() {
     return 1;
   }
 
+  const trace::Report report =
+      trace::summarize(runtime.tracer().snapshot(), runtime.trace_tracks());
   std::printf("%-14s %10s %10s %10s\n", "app", "arrival_ms", "exec_ms",
               "complete_ms");
-  double total_exec = 0.0;
-  const auto app_records = runtime.trace_log().apps();
-  for (const auto& app : app_records) {
-    std::printf("%-14s %10.1f %10.1f %10.1f\n", app.app_name.c_str(),
-                app.arrival_time * 1e3, app.execution_time() * 1e3,
-                app.completion_time * 1e3);
-    total_exec += app.execution_time();
+  for (const auto& app : report.apps) {
+    std::printf("%-14s %10.1f %10.1f %10.1f\n", app.name.c_str(),
+                app.arrival * 1e3, app.execution_time * 1e3,
+                (app.arrival + app.execution_time) * 1e3);
   }
   std::printf("\navg execution time/app = %.1f ms over %zu apps\n",
-              app_records.empty() ? 0.0
-                                  : total_exec / app_records.size() * 1e3,
-              app_records.size());
-
-  const auto rounds = runtime.trace_log().sched_rounds();
-  std::size_t max_queue = 0;
-  for (const auto& r : rounds) max_queue = std::max(max_queue, r.ready_tasks);
+              report.avg_execution_time * 1e3, report.apps.size());
   std::printf("scheduling rounds=%zu  max ready queue=%zu  total decision "
               "time=%.2f ms\n",
-              rounds.size(), max_queue,
-              runtime.trace_log().total_sched_time() * 1e3);
+              report.sched_rounds, report.max_ready_queue,
+              report.total_sched_time * 1e3);
+  if (runtime.tracer().dropped() != 0) {
+    std::printf("(span ring wrapped: %llu oldest events not summarized)\n",
+                static_cast<unsigned long long>(runtime.tracer().dropped()));
+  }
   (void)runtime.shutdown();
   return 0;
 }

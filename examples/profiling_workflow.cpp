@@ -35,11 +35,11 @@ int main() {
   if (!instance.ok()) return 1;
   (void)runtime.wait_all();
   (void)runtime.shutdown();
-  std::printf("calibration: %zu task executions recorded\n",
-              runtime.trace_log().tasks().size());
+  std::printf("calibration: %llu task executions recorded\n",
+              static_cast<unsigned long long>(runtime.stats().tasks_executed));
 
-  // 2. Fit cost tables from the trace.
-  auto profiled = platform::profile_costs(runtime.trace_log(),
+  // 2. Fit cost tables from the worker execute spans.
+  auto profiled = platform::profile_costs(runtime.tracer().snapshot(),
                                           runtime.config().platform);
   if (!profiled.ok()) {
     std::fprintf(stderr, "profiling failed: %s\n",

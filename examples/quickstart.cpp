@@ -76,14 +76,13 @@ int main() {
   }
   (void)runtime.wait_all();
 
-  const auto tasks = runtime.trace_log().tasks();
-  std::printf("  runtime executed %zu scheduled tasks; per-PE counts:\n",
-              tasks.size());
-  for (const auto& [name, count] : runtime.counters().snapshot()) {
-    if (name.rfind("tasks_on_", 0) == 0) {
-      std::printf("    %-12s %llu\n", name.c_str() + 9,
-                  static_cast<unsigned long long>(count));
-    }
+  const rt::RuntimeStats stats = runtime.stats();
+  std::printf("  runtime executed %llu scheduled tasks; per-PE counts:\n",
+              static_cast<unsigned long long>(stats.tasks_executed));
+  for (const auto& pe : stats.pes) {
+    if (pe.tasks == 0) continue;
+    std::printf("    %-12s %llu\n", pe.name.c_str(),
+                static_cast<unsigned long long>(pe.tasks));
   }
   (void)runtime.shutdown();
   std::printf("done\n");

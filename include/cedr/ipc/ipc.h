@@ -28,7 +28,7 @@
 //
 // The server is a poll(2) event loop: cheap verbs (STATUS, STATS, METRICS,
 // COSTS) execute on the loop itself, while slow verbs (SUBMIT's dlopen,
-// SUBMITDAG's JSON load, WAIT, SHUTDOWN's trace serialization) run on a
+// SUBMITDAG's JSON load, WAIT, SHUTDOWN's stop notification) run on a
 // small worker pool so one submitter stalled on disk I/O never delays
 // another client's STATS poll.
 //
@@ -103,10 +103,8 @@ struct IpcServerConfig {
 /// Server half: accepts submissions for an existing runtime.
 class IpcServer {
  public:
-  /// `trace_path`: where execution logs are serialized on SHUTDOWN
-  /// (empty string disables serialization).
   IpcServer(rt::Runtime& runtime, std::string socket_path,
-            std::string trace_path = "", IpcServerConfig config = {});
+            IpcServerConfig config = {});
   IpcServer(const IpcServer&) = delete;
   IpcServer& operator=(const IpcServer&) = delete;
   ~IpcServer();
@@ -197,7 +195,6 @@ class IpcServer {
 
   rt::Runtime& runtime_;
   std::string socket_path_;
-  std::string trace_path_;
   IpcServerConfig config_;
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};  ///< [read, write]; workers wake the loop

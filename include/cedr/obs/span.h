@@ -45,6 +45,13 @@ enum class Category : std::uint8_t {
 
 const char* category_name(Category cat);
 
+/// Arg1 names of a worker execute span, whose value is the attempt index
+/// (0 = first execution): one per outcome. Arg0 is named after the kernel
+/// (platform::kernel_name) and holds the problem size, so the span alone
+/// records what ran where, for how long, and whether it succeeded.
+inline constexpr const char* kAttemptArg = "attempt";
+inline constexpr const char* kFailedAttemptArg = "failed_attempt";
+
 /// One fixed-size trace event. POD so a slot claim + memcpy is enough; the
 /// name is truncated to fit and arg names must be string literals (only the
 /// pointer is stored).

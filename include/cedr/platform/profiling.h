@@ -5,7 +5,7 @@
 // execution-time tables that the real framework obtains by profiling
 // applications on the target SoC. This module closes that loop for the
 // reproduction: it fits cost-model coefficients from the measured task
-// service times in an execution trace, so a runtime can be profiled once
+// service times in a span stream, so a runtime can be profiled once
 // and then rescheduled (or emulated) with tables that reflect *this*
 // machine instead of the calibrated presets.
 //
@@ -18,9 +18,9 @@
 // offline, whole-trace entry point.
 
 #include "cedr/common/status.h"
+#include "cedr/obs/span.h"
 #include "cedr/platform/cost_model.h"
 #include "cedr/platform/platform.h"
-#include "cedr/trace/trace.h"
 
 namespace cedr::platform {
 
@@ -33,7 +33,7 @@ struct ProfiledEntry {
   double mean_service_s = 0.0;
 };
 
-/// Result of profiling a trace against a platform.
+/// Result of profiling a span stream against a platform.
 struct ProfileResult {
   /// The platform's cost model with every sufficiently-sampled pairing
   /// replaced by its fitted coefficients.
@@ -43,11 +43,13 @@ struct ProfileResult {
   std::size_t tasks_skipped = 0;  ///< unknown kernel/PE or zero duration
 };
 
-/// Fits cost tables from `log`, starting from `platform`'s existing model.
-/// PE names are resolved to classes through the platform's PE list;
-/// pairings with fewer than `min_samples` observations keep their preset
-/// coefficients.
-StatusOr<ProfileResult> profile_costs(const trace::TraceLog& log,
+/// Fits cost tables from the worker execute spans in `events` (a
+/// SpanTracer snapshot or stitched `.cbt` segments of a run on `platform`),
+/// starting from `platform`'s existing model. A span's worker track
+/// (tid 1 + PE index) resolves to its PE class through the platform's PE
+/// list; pairings with fewer than `min_samples` observations keep their
+/// preset coefficients.
+StatusOr<ProfileResult> profile_costs(const std::vector<obs::SpanEvent>& events,
                                       const PlatformConfig& platform,
                                       std::size_t min_samples = 3);
 

@@ -234,13 +234,12 @@ class Runtime {
   /// Seconds since start(); the epoch of all trace timestamps.
   [[nodiscard]] double now() const noexcept;
 
-  /// Execution trace (tasks, apps, scheduling rounds).
-  [[nodiscard]] const trace::TraceLog& trace_log() const noexcept {
-    return trace_;
-  }
+  /// Named event counters (the PAPI stand-in).
   [[nodiscard]] trace::CounterSet& counters() noexcept { return counters_; }
 
-  /// Live span stream over the runtime hot paths (see docs/observability.md).
+  /// Live span stream over the runtime hot paths, and the runtime's only
+  /// per-task execution record: one worker execute span per attempt (see
+  /// docs/observability.md; trace/report.h decodes and summarizes it).
   [[nodiscard]] obs::SpanTracer& tracer() noexcept { return tracer_; }
   [[nodiscard]] const obs::SpanTracer& tracer() const noexcept {
     return tracer_;
@@ -314,7 +313,6 @@ class Runtime {
   /// "Lookahead rounds"). Rounds then widen the snapshot into a
   /// sched::Frontier and lookahead placements become reservations.
   sched::LookaheadScheduler* lookahead_ = nullptr;
-  trace::TraceLog trace_;
   trace::CounterSet counters_;
   obs::SpanTracer tracer_;
   obs::MetricsRegistry metrics_;
@@ -335,6 +333,11 @@ class Runtime {
   /// Wall time of one whole lookahead round: frontier build + window
   /// placement + reservation bookkeeping (lookahead schedulers only).
   obs::QuantileHistogram* lookahead_round_us_ = nullptr;
+  /// First enqueue to success of each task that needed a retry, and each
+  /// application's execution time (completion - launch, the paper's
+  /// per-app metric).
+  obs::QuantileHistogram* retry_latency_us_ = nullptr;
+  obs::QuantileHistogram* app_exec_us_ = nullptr;
   /// Scheduler-round span label ("sched <heuristic>"), built once.
   std::string sched_span_name_;
   /// Non-null when the fault plan injects anything. Per-PE streams are only

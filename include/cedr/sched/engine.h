@@ -114,6 +114,10 @@ class PolicyEngine {
     const std::uint32_t narrowed = impl_mask & ~retry.failed_class_mask;
     return (narrowed & present_classes_) != 0 ? narrowed : impl_mask;
   }
+  /// True when a PE class present on the platform both supports `kernel`
+  /// and is in `impl_mask`. Otherwise no round can ever place the task.
+  [[nodiscard]] bool placeable(platform::KernelId kernel,
+                               std::uint32_t impl_mask) const noexcept;
   /// Hands each deferred task whose backoff has elapsed to `push`, in
   /// deferral order; the rest stay deferred, in order.
   template <typename Push>

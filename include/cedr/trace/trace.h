@@ -1,140 +1,22 @@
 #pragma once
-// Execution tracing and performance counters.
+// Named performance counters.
 //
-// The CEDR daemon logs, for every task it executes: which application
-// instance it belonged to, which kernel it was, which PE ran it, and the
-// enqueue/start/finish timestamps. On shutdown the daemon serializes these
-// logs for offline analysis; all paper metrics (execution time per app,
-// scheduling overhead, runtime overhead) are computed from them. This module
-// reproduces that log, plus a named-counter facility standing in for the
-// PAPI hardware counters the original runtime can enable (real PAPI needs
-// kernel perf support that is unavailable here; the counters count runtime
-// events instead, which is what every experiment in the paper consumes).
+// The paper's runtime can enable PAPI hardware counters. Real PAPI needs
+// kernel perf support that is unavailable here, so CounterSet counts
+// runtime events instead, which is what every experiment in the paper
+// consumes. The per-task execution record lives in the span stream
+// (cedr/obs/span.h); trace/report.h summarizes it offline.
 
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
-#include "cedr/common/status.h"
 #include "cedr/json/json.h"
 
 namespace cedr::trace {
-
-/// One scheduled task execution.
-struct TaskRecord {
-  std::uint64_t app_instance_id = 0;
-  std::string app_name;
-  std::uint64_t task_id = 0;
-  std::string kernel_name;
-  std::string pe_name;        ///< e.g. "cpu1", "fft0", "gpu0"
-  std::size_t problem_size = 0;  ///< cost-model size (elements, m*k*n, ...)
-  double enqueue_time = 0.0;  ///< seconds, runtime epoch
-  double start_time = 0.0;
-  double end_time = 0.0;
-  std::uint32_t attempt = 0;  ///< 0 = first execution, 1+ = retries
-  bool ok = true;             ///< false when this attempt faulted/failed
-
-  [[nodiscard]] double queue_delay() const noexcept {
-    return start_time - enqueue_time;
-  }
-  [[nodiscard]] double service_time() const noexcept {
-    return end_time - start_time;
-  }
-};
-
-/// One application instance lifecycle.
-struct AppRecord {
-  std::uint64_t app_instance_id = 0;
-  std::string app_name;
-  double arrival_time = 0.0;     ///< submission over IPC
-  double launch_time = 0.0;      ///< first task became ready / thread spawned
-  double completion_time = 0.0;  ///< last task completed
-
-  [[nodiscard]] double execution_time() const noexcept {
-    return completion_time - launch_time;
-  }
-};
-
-/// One scheduler invocation (a "scheduling round").
-struct SchedRecord {
-  double time = 0.0;
-  std::size_t ready_tasks = 0;
-  std::size_t assigned = 0;
-  double decision_time = 0.0;  ///< seconds spent inside the heuristic
-};
-
-/// Fixed-bucket latency histogram (log2 buckets). Used for the
-/// fault-tolerance layer's retry-latency distribution: the time from a
-/// task's first enqueue to its eventual successful completion, counted only
-/// for tasks that needed at least one retry.
-class LatencyHistogram {
- public:
-  /// Bucket 0 covers [0, 2) microseconds (including all sub-microsecond
-  /// samples); bucket i >= 1 covers [2^i, 2^(i+1)) microseconds; the last
-  /// bucket catches everything above 2^23 us. Exact powers of two land in
-  /// the bucket they open (2^i us -> bucket i), including values computed
-  /// from seconds that round to a power of two within 1e-9 relative error.
-  static constexpr std::size_t kBuckets = 24;
-
-  void record(double seconds);
-  [[nodiscard]] std::uint64_t count() const noexcept;
-  [[nodiscard]] double total_seconds() const noexcept;
-  [[nodiscard]] double mean_seconds() const noexcept;
-  /// Snapshot of the bucket counts, index 0 first.
-  [[nodiscard]] std::vector<std::uint64_t> buckets() const;
-  /// {"count": N, "total_s": T, "buckets_us_log2": [...]}.
-  [[nodiscard]] json::Value to_json() const;
-  void clear();
-
- private:
-  mutable std::mutex mutex_;
-  std::uint64_t counts_[kBuckets] = {};
-  std::uint64_t total_ = 0;
-  double total_seconds_ = 0.0;
-};
-
-/// Thread-safe append-only collection of runtime events.
-class TraceLog {
- public:
-  void add_task(TaskRecord record);
-  void add_app(AppRecord record);
-  void add_sched(SchedRecord record);
-  /// Records one recovered task's first-enqueue-to-success latency.
-  void add_retry_latency(double seconds);
-
-  /// Snapshot copies (the runtime keeps appending concurrently).
-  [[nodiscard]] std::vector<TaskRecord> tasks() const;
-  [[nodiscard]] std::vector<AppRecord> apps() const;
-  [[nodiscard]] std::vector<SchedRecord> sched_rounds() const;
-  [[nodiscard]] const LatencyHistogram& retry_latency() const noexcept {
-    return retry_latency_;
-  }
-
-  /// Mean execution time per application, in seconds (0 if no apps).
-  [[nodiscard]] double avg_app_execution_time() const;
-  /// Total scheduler decision time divided by completed app count.
-  [[nodiscard]] double avg_sched_overhead_per_app() const;
-  /// Total scheduler decision time across all rounds.
-  [[nodiscard]] double total_sched_time() const;
-
-  /// Serializes everything to a JSON document (the daemon shutdown path).
-  [[nodiscard]] json::Value to_json() const;
-  Status write_json(const std::string& path) const;
-  /// Task records as CSV, one row per execution.
-  Status write_task_csv(const std::string& path) const;
-
-  void clear();
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<TaskRecord> tasks_;
-  std::vector<AppRecord> apps_;
-  std::vector<SchedRecord> sched_;
-  LatencyHistogram retry_latency_;
-};
 
 /// Named monotonic counters (the PAPI stand-in). Counter creation is
 /// serialized; bumping an existing counter is a relaxed atomic add.

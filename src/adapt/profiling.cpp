@@ -9,40 +9,36 @@
 
 #include "cedr/adapt/fit.h"
 #include "cedr/platform/profiling.h"
+#include "cedr/trace/report.h"
 
 namespace cedr::platform {
 
-StatusOr<ProfileResult> profile_costs(const trace::TraceLog& log,
+StatusOr<ProfileResult> profile_costs(const std::vector<obs::SpanEvent>& events,
                                       const PlatformConfig& platform,
                                       std::size_t min_samples) {
   CEDR_RETURN_IF_ERROR(platform.validate());
   if (min_samples == 0) min_samples = 1;
 
-  // PE-name -> class resolution from the platform description.
-  std::map<std::string, PeClass> pe_classes;
-  for (const PeDescriptor& pe : platform.pes) {
-    pe_classes.emplace(pe.name, pe.cls);
-  }
-
   ProfileResult result;
   result.costs = platform.costs;
   std::map<std::pair<int, int>, std::vector<adapt::FitSample>> samples;
-  for (const trace::TaskRecord& task : log.tasks()) {
-    const auto kernel = kernel_from_name(task.kernel_name);
-    const auto pe = pe_classes.find(task.pe_name);
-    if (!kernel || pe == pe_classes.end() || task.service_time() <= 0.0) {
+  for (const trace::TaskExecution& task : trace::task_executions(events)) {
+    const auto kernel = kernel_from_name(task.kernel);
+    if (!kernel || task.pe_index >= platform.pes.size() ||
+        task.service_time() <= 0.0) {
       ++result.tasks_skipped;
       continue;
     }
-    samples[{static_cast<int>(*kernel), static_cast<int>(pe->second)}]
-        .push_back(adapt::FitSample{
+    const PeClass cls = platform.pes[task.pe_index].cls;
+    samples[{static_cast<int>(*kernel), static_cast<int>(cls)}].push_back(
+        adapt::FitSample{
             .n = static_cast<double>(task.problem_size),
             .service_s = task.service_time(),
         });
     ++result.tasks_used;
   }
   if (result.tasks_used == 0) {
-    return FailedPrecondition("trace contains no usable task records");
+    return FailedPrecondition("trace contains no usable worker spans");
   }
 
   for (const auto& [key, bucket] : samples) {

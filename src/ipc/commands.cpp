@@ -204,23 +204,9 @@ std::string IpcServer::handle_command(const std::string& line,
   }
 
   if (verb == "SHUTDOWN") {
-    // "...it serializes all the logs it has collected relating to task
-    // execution ... for later offline analysis" (paper §II-A).
-    if (!trace_path_.empty()) {
-      // Performance counters (faults_injected, tasks_retried,
-      // pes_quarantined, ...) ride along in the same document so the
-      // offline report sees the fault-tolerance story too.
-      json::Value doc = runtime_.trace_log().to_json();
-      doc.as_object().emplace("counters", runtime_.counters().to_json());
-      // The live-metrics snapshot rides along so offline analysis sees the
-      // same quantiles the METRICS command served while running.
-      doc.as_object().emplace("metrics", runtime_.metrics().to_json());
-      const Status status = json::write_file(trace_path_, doc);
-      if (!status.ok()) {
-        CEDR_LOG(kWarn, kLogTag) << "trace serialization failed: "
-                                 << status.to_string();
-      }
-    }
+    // Writes nothing: the daemon's offline log is the span stream
+    // (--trace-dir segments flushed as it runs, --trace-out on exit).
+    //
     // The worker notifies wait_for_shutdown() only after this reply is
     // deposited (worker_loop), and the loop's teardown pass flushes it, so
     // the client reads OK before the daemon closes the connection.

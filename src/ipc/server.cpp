@@ -5,7 +5,7 @@
 //     connections), each connection's read framer and write buffer, and is
 //     the only thread that opens or closes connections;
 //   * WORKER threads execute slow verbs (SUBMIT's dlopen, SUBMITDAG's JSON
-//     load, WAIT, SHUTDOWN's trace serialization) and never touch an fd —
+//     load, WAIT, SHUTDOWN's stop notification) and never touch an fd —
 //     they fill the pre-allocated reply slot for their command and wake the
 //     loop through the pipe;
 //   * the only shared state is the connection table and the per-connection
@@ -79,11 +79,8 @@ std::string_view first_token(const std::string& line) {
 }  // namespace
 
 IpcServer::IpcServer(rt::Runtime& runtime, std::string socket_path,
-                     std::string trace_path, IpcServerConfig config)
-    : runtime_(runtime),
-      socket_path_(std::move(socket_path)),
-      trace_path_(std::move(trace_path)),
-      config_(config) {
+                     IpcServerConfig config)
+    : runtime_(runtime), socket_path_(std::move(socket_path)), config_(config) {
   if (config_.worker_threads == 0) config_.worker_threads = 1;
   if (config_.max_pending_per_conn == 0) config_.max_pending_per_conn = 1;
   if (config_.max_connections == 0) config_.max_connections = 1;

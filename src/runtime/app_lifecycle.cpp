@@ -15,9 +15,22 @@
 
 namespace cedr::rt {
 
+namespace {
+/// Rejection of a task no PE on the platform can run: no scheduling round
+/// would ever place it, and shutdown() would wait on it forever.
+Status unplaceable(const std::string& task_name, platform::KernelId kernel) {
+  return FailedPrecondition("task '" + task_name + "' (" +
+                            std::string(platform::kernel_name(kernel)) +
+                            ") has no implementation for any PE on this "
+                            "platform");
+}
+}  // namespace
+
 StatusOr<std::shared_ptr<const DagPlan>> Runtime::Impl::plan_for(
     const std::shared_ptr<const task::AppDescriptor>& app,
-    const platform::PlatformConfig& platform) {
+    const platform::PlatformConfig& platform,
+    const std::vector<std::array<task::TaskFn, platform::kNumPeClasses>>&
+        impls) {
   const task::AppDescriptor* key = app.get();
   {
     std::lock_guard lock(plan_mutex);
@@ -51,6 +64,11 @@ StatusOr<std::shared_ptr<const DagPlan>> Runtime::Impl::plan_for(
       plan->preds[i].push_back(static_cast<std::uint32_t>(graph.index_of(pred)));
     }
     plan->ranks[i] = rank_map.at(t.id);
+    const auto& task_impls = impls.empty() ? t.impls : impls[i];
+    if (plan->unplaceable_task < 0 &&
+        !policy.placeable(t.kernel, impl_class_mask(task_impls))) {
+      plan->unplaceable_task = static_cast<std::int64_t>(i);
+    }
     for (const task::TaskId succ : graph.successors(t.id)) {
       plan->successors[i].push_back(
           static_cast<std::uint32_t>(graph.index_of(succ)));
@@ -83,9 +101,14 @@ StatusOr<Runtime::Impl::PreparedDag> Runtime::Impl::prepare_dag(
   if (!submission.impls.empty() && submission.impls.size() != n) {
     return InvalidArgument("impls count does not match the task graph");
   }
-  auto plan_or = plan_for(app, rt.config_.platform);
+  auto plan_or = plan_for(app, rt.config_.platform, submission.impls);
   if (!plan_or.ok()) return plan_or.status();
   std::shared_ptr<const DagPlan> plan = std::move(*plan_or);
+  if (plan->unplaceable_task >= 0) {
+    const task::Task& t =
+        app->graph.tasks()[static_cast<std::size_t>(plan->unplaceable_task)];
+    return unplaceable(t.name, t.kernel);
+  }
 
   PreparedDag out;
   out.instance = acquire_instance();
@@ -290,6 +313,10 @@ Status Runtime::enqueue_kernel(KernelRequest request, CompletionPtr completion) 
         "enqueue_kernel called from a thread not bound to this runtime");
   }
   if (!completion) return InvalidArgument("null completion");
+  if (!impl_->policy.placeable(request.kernel,
+                               Impl::impl_class_mask(request.impls))) {
+    return unplaceable(request.name, request.kernel);
+  }
 
   auto inflight = impl_->make_task();
   inflight->app_instance_id = binding.instance_id;
@@ -349,13 +376,7 @@ Status Runtime::enqueue_kernel(KernelRequest request, CompletionPtr completion) 
 void Runtime::finish_app_locked(AppInstance& app) {
   app.finished = true;
   const double completion = now();
-  trace_.add_app(trace::AppRecord{
-      .app_instance_id = app.id,
-      .app_name = app.name,
-      .arrival_time = app.arrival_time,
-      .launch_time = app.launch_time,
-      .completion_time = completion,
-  });
+  app_exec_us_->record((completion - app.launch_time) * 1e6);
   tracer_.instant(obs::Category::kApp, "app_complete", 1 + app.id, 0,
                   completion, "exec_time_s", completion - app.arrival_time);
   impl_->completed.fetch_add(1, std::memory_order_relaxed);

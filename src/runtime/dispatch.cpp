@@ -93,12 +93,6 @@ void Runtime::run_scheduling_round() {
   policy.commit_round(result.assignments);
   impl_->avail_lead_s.store(policy.avail_lead(t_now),
                             std::memory_order_relaxed);
-  trace_.add_sched(trace::SchedRecord{
-      .time = t_now,
-      .ready_tasks = snap.size(),
-      .assigned = result.assignments.size(),
-      .decision_time = decision_time,
-  });
   sched_decision_us_->record(decision_time * 1e6);
   tracer_.complete_span(obs::Category::kSched, sched_span_name_.c_str(), 0, 0,
                         t_now, decision_time, "ready",
@@ -374,31 +368,19 @@ void Runtime::worker_loop(Worker& worker) {
       adapt_->observe(task->kernel, worker.pe.cls, task->problem_size,
                       task->data_bytes, end - start);
     }
-    trace_.add_task(trace::TaskRecord{
-        .app_instance_id = task->app_instance_id,
-        .app_name = "",
-        .task_id = task->key,
-        .kernel_name = std::string(platform::kernel_name(task->kernel)),
-        .pe_name = worker.pe.name,
-        .problem_size = task->problem_size,
-        .enqueue_time = task->enqueue_time,
-        .start_time = start,
-        .end_time = end,
-        .attempt = task->retry.attempt,
-        .ok = status.ok(),
-    });
     count("tasks_executed");
-    if (config_.enable_counters) {
-      counters_.add(std::string("tasks_on_") + worker.pe.name);
-    }
     queue_delay_us_->record((start - task->enqueue_time) * 1e6);
     service_time_us_->record((end - start) * 1e6);
+    // The execute span is the task's execution record (trace/report.h):
+    // kernel and problem size in arg0, attempt index and outcome in arg1.
     tracer_.flow(obs::EventKind::kFlowEnd, obs::Category::kWorker, "execute",
                  0, 1 + worker.pe_index, start, task->key);
-    tracer_.complete_span(obs::Category::kWorker, task->name.c_str(), 0,
-                          1 + worker.pe_index, start, end - start, "attempt",
-                          static_cast<double>(task->retry.attempt), "ok",
-                          status.ok() ? 1.0 : 0.0);
+    tracer_.complete_span(
+        obs::Category::kWorker, task->name.c_str(), 0, 1 + worker.pe_index,
+        start, end - start, platform::kernel_name(task->kernel).data(),
+        static_cast<double>(task->problem_size),
+        status.ok() ? obs::kAttemptArg : obs::kFailedAttemptArg,
+        static_cast<double>(task->retry.attempt));
     // Fig. 4: the worker signals the sleeping application thread directly —
     // but only on success. Failures first go through the main loop's retry
     // machinery; only a terminal failure is signalled (from there).

@@ -140,10 +140,10 @@ void Runtime::process_completions() {
       }
       if (inflight->retry.attempt > 0) {
         count("tasks_recovered");
-        trace_.add_retry_latency(t_now - inflight->first_enqueue_time);
+        const double latency_s = t_now - inflight->first_enqueue_time;
+        retry_latency_us_->record(latency_s * 1e6);
         tracer_.instant(obs::Category::kFault, "task_recovered", 0, 1 + pe,
-                        t_now, "latency_s",
-                        t_now - inflight->first_enqueue_time);
+                        t_now, "latency_s", latency_s);
       }
     }
 

@@ -160,6 +160,8 @@ Runtime::Runtime(RuntimeConfig config)
   instantiate_us_ = &metrics_.histogram("instantiate_us");
   complete_publish_us_ = &metrics_.histogram("complete_publish_us");
   lookahead_round_us_ = &metrics_.histogram("lookahead_round_us");
+  retry_latency_us_ = &metrics_.histogram("retry_latency_us");
+  app_exec_us_ = &metrics_.histogram("app_exec_us");
   sched_span_name_ = "sched " + config_.scheduler;
   // The sharded ready queue times contended shard-lock acquisitions into
   // this histogram (docs/observability.md); metrics_ outlives impl_.

@@ -148,6 +148,11 @@ struct DagPlan {
   /// to decide whether a successor's uncompleted predecessors are all
   /// inside the window (docs/scheduling.md "Lookahead rounds").
   std::vector<std::vector<std::uint32_t>> preds;
+  /// Storage index of the first task no PE on the platform can run (its
+  /// kernel and implementation classes meet no present PE class), or -1.
+  /// prepare_dag rejects submissions of such a plan: no round could ever
+  /// place the task.
+  std::int64_t unplaceable_task = -1;
 };
 
 /// A task in flight through the runtime (one DAG node or one API call).
@@ -342,10 +347,17 @@ struct Runtime::Impl {
       plan_index;
 
   /// Cached plan for `app`, building one (topological validation + HEFT
-  /// ranks + index tables) on a miss. Misses compute outside the lock.
+  /// ranks + index tables + placeability) on a miss. Misses compute outside
+  /// the lock. `impls`, when non-empty, are the submission's per-task
+  /// arrays: instances of one skeleton descriptor bind the same
+  /// implementation classes (a DagTemplate binds them per kernel and size),
+  /// so the miss reads placeability from them instead of the impl-less
+  /// skeleton.
   StatusOr<std::shared_ptr<const DagPlan>> plan_for(
       const std::shared_ptr<const task::AppDescriptor>& app,
-      const platform::PlatformConfig& platform);
+      const platform::PlatformConfig& platform,
+      const std::vector<std::array<task::TaskFn, platform::kNumPeClasses>>&
+          impls);
 
   // --- Leaf: recycled AppInstance freelist. --------------------------------
   // Finished instances are reset and parked here instead of freed, so a

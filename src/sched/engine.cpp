@@ -1,6 +1,7 @@
 #include "cedr/sched/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -23,6 +24,16 @@ PolicyEngine::PolicyEngine(std::span<const platform::PeDescriptor> pes,
     pes_.push_back(PeState{
         .pe_index = i, .cls = pes[i].cls, .speed = pes[i].speed_factor});
   }
+}
+
+bool PolicyEngine::placeable(platform::KernelId kernel,
+                             std::uint32_t impl_mask) const noexcept {
+  for (std::uint32_t classes = impl_mask & present_classes_; classes != 0;
+       classes &= classes - 1) {
+    const auto cls = static_cast<platform::PeClass>(std::countr_zero(classes));
+    if (platform::pe_class_supports(cls, kernel)) return true;
+  }
+  return false;
 }
 
 HealthTransition PolicyEngine::on_success(std::size_t pe) {

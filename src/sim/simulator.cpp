@@ -552,11 +552,12 @@ class Engine {
       config_.service_time_us->record((now_ - started) * 1e6);
     }
     if (tr() != nullptr) {
-      tr()->complete_span(obs::Category::kWorker,
-                          platform::kernel_name(task.kernel).data(), 0,
-                          1 + w.pe_index, started, now_ - started, "attempt",
-                          static_cast<double>(task.retry.attempt), "ok",
-                          faulted ? 0.0 : 1.0);
+      const char* kernel = platform::kernel_name(task.kernel).data();
+      tr()->complete_span(
+          obs::Category::kWorker, kernel, 0, 1 + w.pe_index, started,
+          now_ - started, kernel, static_cast<double>(task.size),
+          faulted ? obs::kFailedAttemptArg : obs::kAttemptArg,
+          static_cast<double>(task.retry.attempt));
     }
     // Successful executions feed the online cost estimator with their
     // measured (virtual) service time.

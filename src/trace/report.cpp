@@ -1,195 +1,218 @@
 #include "cedr/trace/report.h"
 
 #include <algorithm>
-#include <cmath>
-#include <set>
+#include <cstring>
+#include <map>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 
-#include "cedr/obs/chrome_trace.h"
 #include "cedr/obs/metrics.h"
 
 namespace cedr::trace {
 namespace {
 
-Report build_report(const std::vector<TaskRecord>& tasks,
-                    const std::vector<AppRecord>& apps,
-                    const std::vector<SchedRecord>& rounds) {
-  Report report;
+bool named(const char* name, const char* expected) {
+  return name != nullptr && std::strcmp(name, expected) == 0;
+}
 
-  for (const AppRecord& app : apps) {
-    report.apps.push_back(Report::AppSummary{
-        .instance_id = app.app_instance_id,
-        .name = app.app_name,
-        .arrival = app.arrival_time,
-        .execution_time = app.execution_time(),
-        .tasks = 0,
-    });
-    report.makespan = std::max(report.makespan, app.completion_time);
-    report.avg_execution_time += app.execution_time();
-  }
-  if (!apps.empty()) {
-    report.avg_execution_time /= static_cast<double>(apps.size());
-  }
-  std::sort(report.apps.begin(), report.apps.end(),
-            [](const auto& a, const auto& b) { return a.arrival < b.arrival; });
+bool is_worker_span(const obs::SpanEvent& e) {
+  return e.kind == obs::EventKind::kComplete &&
+         e.category == obs::Category::kWorker && e.tid > 0;
+}
 
-  std::map<std::string, Report::PeSummary> pes;
-  std::map<std::uint64_t, std::size_t> app_tasks;
-  // (app instance, task) -> did any attempt succeed. A task is a terminal
-  // failure only when every one of its attempts failed.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, bool> task_succeeded;
-  double delay_total = 0.0;
-  double service_total = 0.0;
-  obs::QuantileHistogram delay_hist;
-  obs::QuantileHistogram service_hist;
-  for (const TaskRecord& task : tasks) {
-    auto& pe = pes[task.pe_name];
-    pe.name = task.pe_name;
-    ++pe.tasks;
-    pe.busy_time += task.service_time();
-    report.makespan = std::max(report.makespan, task.end_time);
-    delay_total += task.queue_delay();
-    service_total += task.service_time();
-    delay_hist.record(task.queue_delay() * 1e6);
-    service_hist.record(task.service_time() * 1e6);
-    report.queue_delay_max =
-        std::max(report.queue_delay_max, task.queue_delay());
-    ++app_tasks[task.app_instance_id];
-    if (!task.ok) ++report.failed_attempts;
-    if (task.attempt > 0) ++report.retried_attempts;
-    task_succeeded[{task.app_instance_id, task.task_id}] |= task.ok;
-  }
-  for (const auto& [key, succeeded] : task_succeeded) {
-    if (!succeeded) ++report.failed_tasks;
-  }
-  if (!tasks.empty()) {
-    report.queue_delay_mean = delay_total / static_cast<double>(tasks.size());
-    report.service_time_mean =
-        service_total / static_cast<double>(tasks.size());
-    report.queue_delay_p50 = delay_hist.quantile(0.50) / 1e6;
-    report.queue_delay_p95 = delay_hist.quantile(0.95) / 1e6;
-    report.queue_delay_p99 = delay_hist.quantile(0.99) / 1e6;
-    report.service_time_p50 = service_hist.quantile(0.50) / 1e6;
-    report.service_time_p95 = service_hist.quantile(0.95) / 1e6;
-    report.service_time_p99 = service_hist.quantile(0.99) / 1e6;
-  }
-  for (auto& app : report.apps) {
-    const auto it = app_tasks.find(app.instance_id);
-    if (it != app_tasks.end()) app.tasks = it->second;
-  }
-  for (auto& [name, pe] : pes) {
-    pe.utilization = report.makespan > 0.0 ? pe.busy_time / report.makespan : 0.0;
-    report.pes.push_back(pe);
-  }
+bool is_pe_tid(std::uint64_t tid) { return tid > 0 && tid < obs::kIpcTid; }
 
-  for (const SchedRecord& round : rounds) {
-    report.total_sched_time += round.decision_time;
-    report.max_ready_queue = std::max(report.max_ready_queue, round.ready_tasks);
+/// PE names by worker tid: every named PE track, then a generated name for
+/// each PE that ran a task without one.
+std::map<std::uint64_t, std::string> pe_names(
+    const std::vector<TaskExecution>& tasks,
+    const std::vector<obs::TrackName>& tracks) {
+  std::map<std::uint64_t, std::string> names;
+  for (const obs::TrackName& track : tracks) {
+    if (track.pid == 0 && !track.is_process && is_pe_tid(track.tid)) {
+      names[track.tid] = track.name;
+    }
   }
-  report.sched_rounds = rounds.size();
-  return report;
+  for (const TaskExecution& task : tasks) {
+    names.try_emplace(1 + task.pe_index,
+                      "pe" + std::to_string(task.pe_index));
+  }
+  return names;
+}
+
+/// App names by instance id, from the process tracks ("name #id") without
+/// the id suffix.
+std::unordered_map<std::uint64_t, std::string> app_names(
+    const std::vector<obs::TrackName>& tracks) {
+  std::unordered_map<std::uint64_t, std::string> names;
+  for (const obs::TrackName& track : tracks) {
+    if (!track.is_process || track.pid == 0) continue;
+    const std::string suffix = " #" + std::to_string(track.pid - 1);
+    std::string name = track.name;
+    if (name.size() >= suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+            0) {
+      name.resize(name.size() - suffix.size());
+    }
+    names[track.pid - 1] = std::move(name);
+  }
+  return names;
 }
 
 }  // namespace
 
-Report summarize(const TraceLog& log) {
-  Report report = build_report(log.tasks(), log.apps(), log.sched_rounds());
-  report.retry_latency_count = log.retry_latency().count();
-  report.retry_latency_mean = log.retry_latency().mean_seconds();
-  return report;
-}
-
-namespace {
-
-struct ParsedTrace {
-  std::vector<TaskRecord> tasks;
-  std::vector<AppRecord> apps;
-  std::vector<SchedRecord> rounds;
-};
-
-StatusOr<ParsedTrace> parse_trace(const json::Value& doc) {
-  if (!doc.is_object()) return InvalidArgument("trace document must be object");
-  const json::Value* tasks = doc.find("tasks");
-  const json::Value* apps = doc.find("apps");
-  const json::Value* rounds = doc.find("sched_rounds");
-  if (tasks == nullptr || !tasks->is_array() || apps == nullptr ||
-      !apps->is_array() || rounds == nullptr || !rounds->is_array()) {
-    return InvalidArgument(
-        "trace document needs 'tasks', 'apps' and 'sched_rounds' arrays");
-  }
-  ParsedTrace out;
-  out.tasks.reserve(tasks->as_array().size());
-  for (const json::Value& row : tasks->as_array()) {
-    out.tasks.push_back(TaskRecord{
-        .app_instance_id =
-            static_cast<std::uint64_t>(row.get_int("app_instance_id", 0)),
-        .app_name = row.get_string("app_name", ""),
-        .task_id = static_cast<std::uint64_t>(row.get_int("task_id", 0)),
-        .kernel_name = row.get_string("kernel", ""),
-        .pe_name = row.get_string("pe", "?"),
-        .problem_size = static_cast<std::size_t>(row.get_int("size", 0)),
-        .enqueue_time = row.get_double("enqueue", 0.0),
-        .start_time = row.get_double("start", 0.0),
-        .end_time = row.get_double("end", 0.0),
-        .attempt = static_cast<std::uint32_t>(row.get_int("attempt", 0)),
-        .ok = row.get_bool("ok", true),
-    });
-  }
-  out.apps.reserve(apps->as_array().size());
-  for (const json::Value& row : apps->as_array()) {
-    out.apps.push_back(AppRecord{
-        .app_instance_id =
-            static_cast<std::uint64_t>(row.get_int("app_instance_id", 0)),
-        .app_name = row.get_string("app_name", ""),
-        .arrival_time = row.get_double("arrival", 0.0),
-        .launch_time = row.get_double("launch", 0.0),
-        .completion_time = row.get_double("completion", 0.0),
-    });
-  }
-  out.rounds.reserve(rounds->as_array().size());
-  for (const json::Value& row : rounds->as_array()) {
-    out.rounds.push_back(SchedRecord{
-        .time = row.get_double("time", 0.0),
-        .ready_tasks = static_cast<std::size_t>(row.get_int("ready_tasks", 0)),
-        .assigned = static_cast<std::size_t>(row.get_int("assigned", 0)),
-        .decision_time = row.get_double("decision_time", 0.0),
-    });
+std::vector<TaskExecution> task_executions(
+    const std::vector<obs::SpanEvent>& events) {
+  struct Enqueue {
+    std::uint64_t app = 0;
+    double ts = 0.0;
+  };
+  std::unordered_map<std::uint64_t, Enqueue> enqueues;  // flow id -> begin
+  std::unordered_map<std::uint64_t, std::uint64_t> executing;  // tid -> flow
+  std::vector<TaskExecution> out;
+  for (const obs::SpanEvent& e : events) {
+    if (e.kind == obs::EventKind::kFlowBegin && e.pid > 0) {
+      enqueues.try_emplace(e.flow_id, Enqueue{e.pid - 1, e.ts});
+    } else if (e.kind == obs::EventKind::kFlowEnd && e.tid > 0) {
+      executing[e.tid] = e.flow_id;
+    } else if (is_worker_span(e) && e.arg0_name != nullptr) {
+      TaskExecution task{
+          .kernel = e.arg0_name,
+          .pe_index = static_cast<std::size_t>(e.tid - 1),
+          .problem_size = static_cast<std::size_t>(e.arg0),
+          .enqueue_time = e.ts,
+          .start_time = e.ts,
+          .end_time = e.ts + e.dur,
+          .attempt = static_cast<std::uint32_t>(e.arg1),
+          .ok = !named(e.arg1_name, obs::kFailedAttemptArg),
+      };
+      // The worker ends the task's flow right before its execute span, on
+      // the same track, so the latest flow end there names this task.
+      if (const auto flow = executing.find(e.tid); flow != executing.end()) {
+        task.task_key = flow->second;
+        if (const auto begin = enqueues.find(flow->second);
+            begin != enqueues.end()) {
+          task.app_instance_id = begin->second.app;
+          task.enqueue_time = begin->second.ts;
+        }
+        executing.erase(flow);
+      }
+      out.push_back(std::move(task));
+    }
   }
   return out;
 }
 
-}  // namespace
+Report summarize(const std::vector<obs::SpanEvent>& events,
+                 const std::vector<obs::TrackName>& tracks) {
+  Report report;
+  const std::vector<TaskExecution> tasks = task_executions(events);
 
-StatusOr<Report> summarize_json(const json::Value& doc) {
-  auto parsed = parse_trace(doc);
-  if (!parsed.ok()) return parsed.status();
-  Report report = build_report(parsed->tasks, parsed->apps, parsed->rounds);
-  if (const json::Value* counters = doc.find("counters");
-      counters != nullptr && counters->is_object()) {
-    for (const auto& [name, value] : counters->as_object()) {
-      if (value.is_number()) {
-        report.counters.emplace(name,
-                                static_cast<std::uint64_t>(value.as_int()));
+  const auto names_by_app = app_names(tracks);
+  std::map<std::uint64_t, double> arrivals;
+  std::map<std::uint64_t, std::size_t> app_tasks;
+  double retry_latency_total = 0.0;
+  for (const obs::SpanEvent& e : events) {
+    if (e.kind == obs::EventKind::kInstant) {
+      const std::string_view name = e.name;
+      if (name == "app_arrival" && e.pid > 0) {
+        arrivals[e.pid - 1] = e.ts;
+      } else if (name == "app_complete" && e.pid > 0) {
+        const auto app = names_by_app.find(e.pid - 1);
+        report.apps.push_back(Report::AppSummary{
+            .instance_id = e.pid - 1,
+            .name = app != names_by_app.end() ? app->second : "app",
+            .arrival = e.ts - e.arg0,
+            .execution_time = e.arg0,
+        });
+        report.makespan = std::max(report.makespan, e.ts);
+        report.avg_execution_time += e.arg0;
+      } else if (name == "task_failed") {
+        ++report.failed_tasks;
+      } else if (name == "pe_quarantined") {
+        ++report.pes_quarantined;
+      } else if (name == "pe_reinstated") {
+        ++report.pes_reinstated;
+      } else if (name == "task_recovered" && named(e.arg0_name, "latency_s")) {
+        ++report.retry_latency_count;
+        retry_latency_total += e.arg0;
       }
+    } else if (e.kind == obs::EventKind::kComplete &&
+               e.category == obs::Category::kSched &&
+               named(e.arg0_name, "ready")) {
+      ++report.sched_rounds;
+      report.total_sched_time += e.dur;
+      report.max_ready_queue =
+          std::max(report.max_ready_queue, static_cast<std::size_t>(e.arg0));
     }
   }
-  if (const json::Value* hist = doc.find("retry_latency");
-      hist != nullptr && hist->is_object()) {
-    report.retry_latency_count =
-        static_cast<std::uint64_t>(hist->get_int("count", 0));
-    const double total = hist->get_double("total_s", 0.0);
-    report.retry_latency_mean =
-        report.retry_latency_count > 0
-            ? total / static_cast<double>(report.retry_latency_count)
-            : 0.0;
+  if (!report.apps.empty()) {
+    report.avg_execution_time /= static_cast<double>(report.apps.size());
   }
-  return report;
-}
+  if (report.retry_latency_count > 0) {
+    report.retry_latency_mean =
+        retry_latency_total / static_cast<double>(report.retry_latency_count);
+  }
 
-StatusOr<Report> summarize_file(const std::string& path) {
-  auto doc = json::parse_file(path);
-  if (!doc.ok()) return doc.status();
-  return summarize_json(*doc);
+  const std::map<std::uint64_t, std::string> names = pe_names(tasks, tracks);
+  std::map<std::uint64_t, Report::PeSummary> pes;
+  for (const auto& [tid, name] : names) pes[tid].name = name;
+  std::size_t first_attempts = 0;
+  double delay_total = 0.0;
+  double service_total = 0.0;
+  obs::QuantileHistogram delay_hist;
+  obs::QuantileHistogram service_hist;
+  for (const TaskExecution& task : tasks) {
+    Report::PeSummary& pe = pes[1 + task.pe_index];
+    ++pe.tasks;
+    pe.busy_time += task.service_time();
+    report.makespan = std::max(report.makespan, task.end_time);
+    service_total += task.service_time();
+    service_hist.record(task.service_time() * 1e6);
+    ++app_tasks[task.app_instance_id];
+    if (!task.ok) ++report.failed_attempts;
+    if (task.attempt > 0) {
+      ++report.retried_attempts;
+      continue;  // a retry's enqueue is not in the stream
+    }
+    ++first_attempts;
+    delay_total += task.queue_delay();
+    delay_hist.record(task.queue_delay() * 1e6);
+    report.queue_delay_max =
+        std::max(report.queue_delay_max, task.queue_delay());
+  }
+  if (first_attempts != 0) {
+    report.queue_delay_mean = delay_total / static_cast<double>(first_attempts);
+    report.queue_delay_p50 = delay_hist.quantile(0.50) / 1e6;
+    report.queue_delay_p95 = delay_hist.quantile(0.95) / 1e6;
+    report.queue_delay_p99 = delay_hist.quantile(0.99) / 1e6;
+  }
+  if (!tasks.empty()) {
+    report.service_time_mean =
+        service_total / static_cast<double>(tasks.size());
+    report.service_time_p50 = service_hist.quantile(0.50) / 1e6;
+    report.service_time_p95 = service_hist.quantile(0.95) / 1e6;
+    report.service_time_p99 = service_hist.quantile(0.99) / 1e6;
+  }
+
+  for (auto& app : report.apps) {
+    if (const auto it = arrivals.find(app.instance_id); it != arrivals.end()) {
+      app.arrival = it->second;
+    }
+    if (const auto it = app_tasks.find(app.instance_id); it != app_tasks.end()) {
+      app.tasks = it->second;
+    }
+  }
+  std::sort(report.apps.begin(), report.apps.end(),
+            [](const auto& a, const auto& b) { return a.arrival < b.arrival; });
+  for (auto& [tid, pe] : pes) {
+    pe.utilization = report.makespan > 0.0 ? pe.busy_time / report.makespan : 0.0;
+    report.pes.push_back(pe);
+  }
+  std::sort(report.pes.begin(), report.pes.end(),
+            [](const auto& a, const auto& b) { return a.name < b.name; });
+  return report;
 }
 
 std::string render_text(const Report& report) {
@@ -213,21 +236,14 @@ std::string render_text(const Report& report) {
       << " ms, p50 " << report.service_time_p50 * 1e3 << " ms, p95 "
       << report.service_time_p95 * 1e3 << " ms, p99 "
       << report.service_time_p99 * 1e3 << " ms\n";
-  // Fault-tolerance summary. The counter lines always print (0 when the run
-  // was fault-free) so resilience dashboards can grep for them.
-  const auto counter = [&report](const char* name,
-                                 std::uint64_t fallback) -> std::uint64_t {
-    const auto it = report.counters.find(name);
-    return it != report.counters.end() ? it->second : fallback;
-  };
+  // Fault-tolerance summary. The lines always print (0 when the run was
+  // fault-free) so resilience dashboards can grep for them.
   out << "\nfault tolerance\n";
-  out << "  faults_injected:     " << counter("faults_injected", 0) << "\n";
-  out << "  tasks_retried:       "
-      << counter("tasks_retried", report.retried_attempts) << "\n";
-  out << "  pes_quarantined:     " << counter("pes_quarantined", 0) << "\n";
-  out << "  pes_reinstated:      " << counter("pes_reinstated", 0) << "\n";
-  out << "  tasks_failed:        "
-      << counter("tasks_failed", report.failed_tasks) << "\n";
+  out << "  failed_attempts:     " << report.failed_attempts << "\n";
+  out << "  tasks_retried:       " << report.retried_attempts << "\n";
+  out << "  pes_quarantined:     " << report.pes_quarantined << "\n";
+  out << "  pes_reinstated:      " << report.pes_reinstated << "\n";
+  out << "  tasks_failed:        " << report.failed_tasks << "\n";
   if (report.retry_latency_count > 0) {
     out << "  retry latency:       " << report.retry_latency_count
         << " recovered tasks, mean " << report.retry_latency_mean * 1e3
@@ -248,138 +264,51 @@ std::string render_text(const Report& report) {
   return out.str();
 }
 
-std::string render_gantt(const TraceLog& log, std::size_t width) {
-  const auto tasks = log.tasks();
+std::string render_gantt(const std::vector<obs::SpanEvent>& events,
+                         const std::vector<obs::TrackName>& tracks,
+                         std::size_t width) {
+  const std::vector<TaskExecution> tasks = task_executions(events);
   if (tasks.empty() || width == 0) return "(no tasks)\n";
-  double t_end = 0.0;
-  std::set<std::string> pe_names;
-  for (const TaskRecord& task : tasks) {
+  // Columns cover the executions, not the time since the runtime's epoch:
+  // a daemon idle before its work would otherwise squeeze it into the
+  // last few columns.
+  double t_begin = tasks.front().start_time;
+  double t_end = tasks.front().end_time;
+  for (const TaskExecution& task : tasks) {
+    t_begin = std::min(t_begin, task.start_time);
     t_end = std::max(t_end, task.end_time);
-    pe_names.insert(task.pe_name);
   }
-  if (t_end <= 0.0) return "(no tasks)\n";
+  const double span = t_end - t_begin;
+
+  const std::map<std::uint64_t, std::string> names = pe_names(tasks, tracks);
+  std::map<std::uint64_t, std::string> rows;
+  for (const auto& [tid, name] : names) rows[tid] = std::string(width, '.');
+  const auto to_col = [&](double t) -> std::size_t {
+    if (!(span > 0.0)) return 0;
+    return std::min(width - 1,
+                    static_cast<std::size_t>((t - t_begin) / span *
+                                             static_cast<double>(width)));
+  };
+  for (const TaskExecution& task : tasks) {
+    std::string& row = rows[1 + task.pe_index];
+    const char mark = "0123456789abcdef"[task.app_instance_id % 16];
+    for (std::size_t c = to_col(task.start_time); c <= to_col(task.end_time);
+         ++c) {
+      row[c] = mark;
+    }
+  }
+  std::map<std::string, const std::string*> by_name;
+  for (const auto& [tid, row] : rows) by_name[names.at(tid)] = &row;
 
   std::ostringstream out;
-  for (const std::string& pe : pe_names) {
-    std::string row(width, '.');
-    for (const TaskRecord& task : tasks) {
-      if (task.pe_name != pe) continue;
-      auto to_col = [&](double t) {
-        return std::min(width - 1, static_cast<std::size_t>(
-                                       t / t_end * static_cast<double>(width)));
-      };
-      const std::size_t lo = to_col(task.start_time);
-      const std::size_t hi = to_col(task.end_time);
-      const char mark = "0123456789abcdef"[task.app_instance_id % 16];
-      for (std::size_t c = lo; c <= hi; ++c) row[c] = mark;
-    }
+  for (const auto& [pe, row] : by_name) {
     out << "  " << pe;
     for (std::size_t pad = pe.size(); pad < 8; ++pad) out << ' ';
-    out << '|' << row << "|\n";
+    out << '|' << *row << "|\n";
   }
-  out << "  (columns span 0.." << t_end * 1e3
+  out << "  (columns span " << t_begin * 1e3 << ".." << t_end * 1e3
       << " ms; digits are app instance ids mod 16)\n";
   return out.str();
-}
-
-StatusOr<json::Value> chrome_trace_from_trace_json(const json::Value& doc) {
-  auto parsed = parse_trace(doc);
-  if (!parsed.ok()) return parsed.status();
-
-  // PE name -> tid, following the live-trace convention (tid 0 = main loop,
-  // tid 1+i = PE), with PEs ordered by name for determinism.
-  std::set<std::string> pe_names;
-  for (const TaskRecord& task : parsed->tasks) pe_names.insert(task.pe_name);
-  std::map<std::string, std::uint64_t> pe_tid;
-  std::vector<obs::TrackName> tracks;
-  tracks.push_back({.pid = 0, .is_process = true, .name = "cedr runtime"});
-  tracks.push_back({.pid = 0, .tid = 0, .name = "main loop"});
-  for (const std::string& name : pe_names) {
-    const std::uint64_t tid = 1 + pe_tid.size();
-    pe_tid.emplace(name, tid);
-    tracks.push_back({.pid = 0, .tid = tid, .name = name});
-  }
-  for (const AppRecord& app : parsed->apps) {
-    tracks.push_back(
-        {.pid = 1 + app.app_instance_id,
-         .is_process = true,
-         .name = app.app_name + " #" + std::to_string(app.app_instance_id)});
-  }
-
-  std::vector<obs::SpanEvent> events;
-  events.reserve(parsed->tasks.size() * 3 + parsed->apps.size() * 2 +
-                 parsed->rounds.size());
-  for (const TaskRecord& task : parsed->tasks) {
-    const std::uint64_t tid = pe_tid[task.pe_name];
-    // One flow per execution attempt: enqueue (on the app's process row)
-    // -> execute (on the PE row). Retries re-enqueue, so the attempt index
-    // keeps flow ids unique per attempt.
-    const std::uint64_t flow_id = (task.task_id << 8) | task.attempt;
-    obs::SpanEvent begin;
-    begin.kind = obs::EventKind::kFlowBegin;
-    begin.category = obs::Category::kApp;
-    begin.set_name(task.kernel_name.c_str());
-    begin.ts = task.enqueue_time;
-    begin.pid = 1 + task.app_instance_id;
-    begin.tid = 0;
-    begin.flow_id = flow_id;
-    events.push_back(begin);
-
-    obs::SpanEvent end = begin;
-    end.kind = obs::EventKind::kFlowEnd;
-    end.category = obs::Category::kWorker;
-    end.set_name("execute");
-    end.ts = task.start_time;
-    end.pid = 0;
-    end.tid = tid;
-    events.push_back(end);
-
-    obs::SpanEvent span;
-    span.kind = obs::EventKind::kComplete;
-    span.category = obs::Category::kWorker;
-    span.set_name(task.kernel_name.c_str());
-    span.ts = task.start_time;
-    span.dur = task.service_time();
-    span.pid = 0;
-    span.tid = tid;
-    span.arg0_name = "attempt";
-    span.arg0 = task.attempt;
-    span.arg1_name = "ok";
-    span.arg1 = task.ok ? 1.0 : 0.0;
-    events.push_back(span);
-  }
-  for (const AppRecord& app : parsed->apps) {
-    obs::SpanEvent arrival;
-    arrival.kind = obs::EventKind::kInstant;
-    arrival.category = obs::Category::kApp;
-    arrival.set_name("app_arrival");
-    arrival.ts = app.arrival_time;
-    arrival.pid = 1 + app.app_instance_id;
-    events.push_back(arrival);
-
-    obs::SpanEvent complete = arrival;
-    complete.set_name("app_complete");
-    complete.ts = app.completion_time;
-    complete.arg0_name = "exec_time_s";
-    complete.arg0 = app.execution_time();
-    events.push_back(complete);
-  }
-  for (const SchedRecord& round : parsed->rounds) {
-    obs::SpanEvent span;
-    span.kind = obs::EventKind::kComplete;
-    span.category = obs::Category::kSched;
-    span.set_name("sched");
-    span.ts = round.time;
-    span.dur = round.decision_time;
-    span.pid = 0;
-    span.tid = 0;
-    span.arg0_name = "ready";
-    span.arg0 = static_cast<double>(round.ready_tasks);
-    span.arg1_name = "assigned";
-    span.arg1 = static_cast<double>(round.assigned);
-    events.push_back(span);
-  }
-  return obs::chrome_trace_json(events, tracks);
 }
 
 }  // namespace cedr::trace

@@ -1,208 +1,6 @@
 #include "cedr/trace/trace.h"
 
-#include <algorithm>
-#include <cmath>
-#include <fstream>
-
 namespace cedr::trace {
-
-void LatencyHistogram::record(double seconds) {
-  if (!(seconds >= 0.0)) seconds = 0.0;  // clamp NaN/negative clock skew
-  double us = seconds * 1e6;
-  // Values that are powers of two "in spirit" can land just below the edge
-  // after the seconds->microseconds multiply (2e-6 * 1e6 == 1.999...96 in
-  // binary floating point). Snap to the nearest integer when within a
-  // relative epsilon so exact-boundary samples bucket deterministically.
-  const double nearest = std::round(us);
-  if (nearest > 0.0 && std::abs(us - nearest) <= nearest * 1e-9) us = nearest;
-  std::size_t bucket = 0;
-  if (us >= 2.0) {
-    // frexp gives us = frac * 2^exp with frac in [0.5, 1), so the value
-    // lies in [2^(exp-1), 2^exp) and belongs to bucket exp - 1. Unlike a
-    // cast to uint64, this is defined for the whole double range.
-    int exp = 0;
-    std::frexp(us, &exp);
-    bucket = std::min<std::size_t>(static_cast<std::size_t>(exp - 1),
-                                   kBuckets - 1);
-  }
-  std::lock_guard lock(mutex_);
-  ++counts_[bucket];
-  ++total_;
-  total_seconds_ += seconds;
-}
-
-std::uint64_t LatencyHistogram::count() const noexcept {
-  std::lock_guard lock(mutex_);
-  return total_;
-}
-
-double LatencyHistogram::total_seconds() const noexcept {
-  std::lock_guard lock(mutex_);
-  return total_seconds_;
-}
-
-double LatencyHistogram::mean_seconds() const noexcept {
-  std::lock_guard lock(mutex_);
-  return total_ == 0 ? 0.0 : total_seconds_ / static_cast<double>(total_);
-}
-
-std::vector<std::uint64_t> LatencyHistogram::buckets() const {
-  std::lock_guard lock(mutex_);
-  return {counts_, counts_ + kBuckets};
-}
-
-json::Value LatencyHistogram::to_json() const {
-  std::lock_guard lock(mutex_);
-  json::Array rows;
-  rows.reserve(kBuckets);
-  for (const std::uint64_t c : counts_) rows.push_back(json::Value(c));
-  return json::Object{
-      {"count", json::Value(total_)},
-      {"total_s", json::Value(total_seconds_)},
-      {"buckets_us_log2", json::Value(std::move(rows))},
-  };
-}
-
-void LatencyHistogram::clear() {
-  std::lock_guard lock(mutex_);
-  for (std::uint64_t& c : counts_) c = 0;
-  total_ = 0;
-  total_seconds_ = 0.0;
-}
-
-void TraceLog::add_task(TaskRecord record) {
-  std::lock_guard lock(mutex_);
-  tasks_.push_back(std::move(record));
-}
-
-void TraceLog::add_app(AppRecord record) {
-  std::lock_guard lock(mutex_);
-  apps_.push_back(std::move(record));
-}
-
-void TraceLog::add_sched(SchedRecord record) {
-  std::lock_guard lock(mutex_);
-  sched_.push_back(record);
-}
-
-void TraceLog::add_retry_latency(double seconds) {
-  retry_latency_.record(seconds);
-}
-
-std::vector<TaskRecord> TraceLog::tasks() const {
-  std::lock_guard lock(mutex_);
-  return tasks_;
-}
-
-std::vector<AppRecord> TraceLog::apps() const {
-  std::lock_guard lock(mutex_);
-  return apps_;
-}
-
-std::vector<SchedRecord> TraceLog::sched_rounds() const {
-  std::lock_guard lock(mutex_);
-  return sched_;
-}
-
-double TraceLog::avg_app_execution_time() const {
-  std::lock_guard lock(mutex_);
-  if (apps_.empty()) return 0.0;
-  double total = 0.0;
-  for (const AppRecord& app : apps_) total += app.execution_time();
-  return total / static_cast<double>(apps_.size());
-}
-
-double TraceLog::avg_sched_overhead_per_app() const {
-  std::lock_guard lock(mutex_);
-  if (apps_.empty()) return 0.0;
-  double total = 0.0;
-  for (const SchedRecord& round : sched_) total += round.decision_time;
-  return total / static_cast<double>(apps_.size());
-}
-
-double TraceLog::total_sched_time() const {
-  std::lock_guard lock(mutex_);
-  double total = 0.0;
-  for (const SchedRecord& round : sched_) total += round.decision_time;
-  return total;
-}
-
-json::Value TraceLog::to_json() const {
-  std::lock_guard lock(mutex_);
-  json::Array task_rows;
-  task_rows.reserve(tasks_.size());
-  for (const TaskRecord& t : tasks_) {
-    task_rows.push_back(json::Object{
-        {"app_instance_id", json::Value(t.app_instance_id)},
-        {"app_name", json::Value(t.app_name)},
-        {"task_id", json::Value(t.task_id)},
-        {"kernel", json::Value(t.kernel_name)},
-        {"pe", json::Value(t.pe_name)},
-        {"size", json::Value(t.problem_size)},
-        {"enqueue", json::Value(t.enqueue_time)},
-        {"start", json::Value(t.start_time)},
-        {"end", json::Value(t.end_time)},
-        {"attempt", json::Value(static_cast<std::uint64_t>(t.attempt))},
-        {"ok", json::Value(t.ok)},
-    });
-  }
-  json::Array app_rows;
-  app_rows.reserve(apps_.size());
-  for (const AppRecord& a : apps_) {
-    app_rows.push_back(json::Object{
-        {"app_instance_id", json::Value(a.app_instance_id)},
-        {"app_name", json::Value(a.app_name)},
-        {"arrival", json::Value(a.arrival_time)},
-        {"launch", json::Value(a.launch_time)},
-        {"completion", json::Value(a.completion_time)},
-    });
-  }
-  json::Array sched_rows;
-  sched_rows.reserve(sched_.size());
-  for (const SchedRecord& s : sched_) {
-    sched_rows.push_back(json::Object{
-        {"time", json::Value(s.time)},
-        {"ready_tasks", json::Value(s.ready_tasks)},
-        {"assigned", json::Value(s.assigned)},
-        {"decision_time", json::Value(s.decision_time)},
-    });
-  }
-  return json::Object{
-      {"tasks", json::Value(std::move(task_rows))},
-      {"apps", json::Value(std::move(app_rows))},
-      {"sched_rounds", json::Value(std::move(sched_rows))},
-      {"retry_latency", retry_latency_.to_json()},
-  };
-}
-
-Status TraceLog::write_json(const std::string& path) const {
-  return json::write_file(path, to_json());
-}
-
-Status TraceLog::write_task_csv(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Unavailable("cannot open CSV file: " + path);
-  out << "app_instance_id,app_name,task_id,kernel,pe,size,enqueue,start,"
-         "end,attempt,ok\n";
-  for (const TaskRecord& t : tasks()) {
-    out << t.app_instance_id << ',' << t.app_name << ',' << t.task_id << ','
-        << t.kernel_name << ',' << t.pe_name << ',' << t.problem_size << ','
-        << t.enqueue_time << ',' << t.start_time << ',' << t.end_time << ','
-        << t.attempt << ',' << (t.ok ? 1 : 0) << '\n';
-  }
-  if (!out) return Unavailable("CSV write failed: " + path);
-  return Status::Ok();
-}
-
-void TraceLog::clear() {
-  {
-    std::lock_guard lock(mutex_);
-    tasks_.clear();
-    apps_.clear();
-    sched_.clear();
-  }
-  retry_latency_.clear();
-}
 
 void CounterSet::add(const std::string& name, std::uint64_t delta) {
   std::atomic<std::uint64_t>* counter = nullptr;

@@ -10,6 +10,7 @@
 #include "cedr/apps/pulse_doppler.h"
 #include "cedr/apps/wifi_tx.h"
 #include "cedr/runtime/runtime.h"
+#include "cedr/trace/report.h"
 
 namespace cedr::apps {
 namespace {
@@ -125,8 +126,10 @@ TEST(AppsUnderRuntime, AllThreeRunConcurrently) {
   ASSERT_TRUE(ld.ok());
   EXPECT_TRUE(ld->both_lanes_found);
   // All scheduled work accounted: the trace saw tasks from 3 instances.
+  ASSERT_EQ(runtime.tracer().dropped(), 0u);
   std::set<std::uint64_t> instances;
-  for (const auto& task : runtime.trace_log().tasks()) {
+  for (const auto& task :
+       trace::task_executions(runtime.tracer().snapshot())) {
     instances.insert(task.app_instance_id);
   }
   EXPECT_EQ(instances.size(), 3u);

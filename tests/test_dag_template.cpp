@@ -192,7 +192,7 @@ TEST(DagSubmission, BatchReportsPerElementStatus) {
   EXPECT_NE(*results[0], *results[2]);  // distinct instance ids
   ASSERT_TRUE(runtime.wait_all(30.0).ok());
   EXPECT_TRUE(runtime.shutdown().ok());
-  EXPECT_EQ(runtime.trace_log().tasks().size(), 8u);  // two 4-task DAGs ran
+  EXPECT_EQ(runtime.stats().tasks_executed, 8u);  // two 4-task DAGs ran
 }
 
 TEST(DagSubmission, RecycledInstancesNeverResurrectStaleState) {
@@ -245,7 +245,7 @@ TEST(DagSubmission, RecycledInstancesNeverResurrectStaleState) {
     }
   }
   EXPECT_TRUE(runtime.shutdown().ok());
-  EXPECT_EQ(runtime.trace_log().tasks().size(), kWaves * kPerWave * 4);
+  EXPECT_EQ(runtime.stats().tasks_executed, kWaves * kPerWave * 4);
 }
 
 TEST(DagSubmission, LegacyDescriptorPathStillWorks) {
@@ -264,7 +264,7 @@ TEST(DagSubmission, LegacyDescriptorPathStillWorks) {
   ASSERT_TRUE(runtime.submit_dag(dag->descriptor).ok());
   ASSERT_TRUE(runtime.wait_all(30.0).ok());
   EXPECT_TRUE(runtime.shutdown().ok());
-  EXPECT_EQ(runtime.trace_log().tasks().size(), 4u);
+  EXPECT_EQ(runtime.stats().tasks_executed, 4u);
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ TEST(ExecutableDag, InstantiatesAndRunsEndToEnd) {
   ASSERT_TRUE(runtime.submit_dag(dag->descriptor).ok());
   ASSERT_TRUE(runtime.wait_all(30.0).ok());
   EXPECT_TRUE(runtime.shutdown().ok());
-  EXPECT_EQ(runtime.trace_log().tasks().size(), 4u);
+  EXPECT_EQ(runtime.stats().tasks_executed, 4u);
 
   const auto* filtered = dag->buffers->cfloat_buffer("filtered");
   ASSERT_NE(filtered, nullptr);
@@ -211,7 +211,7 @@ TEST(ExecutableDag, LoadsFromDiskAndSubmitsOverIpc) {
   ASSERT_TRUE(client.wait_all().ok());
   server.stop();
   EXPECT_TRUE(runtime.shutdown().ok());
-  EXPECT_EQ(runtime.trace_log().tasks().size(), 4u);
+  EXPECT_EQ(runtime.stats().tasks_executed, 4u);
   EXPECT_FALSE(client.submit_dag("/nonexistent.json").ok());
 }
 
@@ -234,8 +234,9 @@ TEST(Profiling, FitsTablesFromRuntimeTrace) {
   ASSERT_TRUE(runtime.wait_all(30.0).ok());
   EXPECT_TRUE(runtime.shutdown().ok());
 
+  ASSERT_EQ(runtime.tracer().dropped(), 0u);
   auto profiled =
-      platform::profile_costs(runtime.trace_log(), config.platform);
+      platform::profile_costs(runtime.tracer().snapshot(), config.platform);
   ASSERT_TRUE(profiled.ok());
   EXPECT_EQ(profiled->tasks_used, 15u);
   ASSERT_GE(profiled->entries.size(), 1u);
@@ -259,27 +260,31 @@ TEST(Profiling, FitsTablesFromRuntimeTrace) {
                                                   0));
 }
 
+/// A worker execute span for `kernel` at `size` on PE `pe_index`.
+void record_execution(obs::SpanTracer& tracer, const char* kernel,
+                      std::size_t size, std::size_t pe_index, double start,
+                      double end) {
+  tracer.complete_span(obs::Category::kWorker, kernel, 0, 1 + pe_index, start,
+                       end - start, kernel, static_cast<double>(size),
+                       obs::kAttemptArg, 0.0);
+}
+
 TEST(Profiling, SyntheticAffineRecovery) {
   // Exact affine service times must be recovered (within fp noise).
-  trace::TraceLog log;
+  obs::SpanTracer tracer(64);
   const double fixed = 5e-6;
   const double per_point = 2e-8;
   double t = 0.0;
   for (const std::size_t n : {100u, 200u, 400u, 800u}) {
     for (int rep = 0; rep < 2; ++rep) {
       const double service = fixed + per_point * static_cast<double>(n);
-      log.add_task(trace::TaskRecord{.app_name = "",
-                                     .kernel_name = "ZIP",
-                                     .pe_name = "cpu0",
-                                     .problem_size = n,
-                                     .enqueue_time = t,
-                                     .start_time = t,
-                                     .end_time = t + service});
+      record_execution(tracer, "ZIP", n, /*cpu0*/ 0, t, t + service);
       t += service;
     }
   }
+  ASSERT_EQ(tracer.dropped(), 0u);
   const auto platform = platform::host(1);
-  auto profiled = platform::profile_costs(log, platform);
+  auto profiled = platform::profile_costs(tracer.snapshot(), platform);
   ASSERT_TRUE(profiled.ok());
   ASSERT_EQ(profiled->entries.size(), 1u);
   EXPECT_NEAR(profiled->entries[0].fitted.fixed_s, fixed, 1e-9);
@@ -287,23 +292,17 @@ TEST(Profiling, SyntheticAffineRecovery) {
 }
 
 TEST(Profiling, SkipsUnknownRecordsAndValidates) {
-  trace::TraceLog log;
-  log.add_task(trace::TaskRecord{.app_name = "",
-                                 .kernel_name = "NOPE",
-                                 .pe_name = "cpu0",
-                                 .start_time = 0,
-                                 .end_time = 1});
-  log.add_task(trace::TaskRecord{.app_name = "",
-                                 .kernel_name = "FFT",
-                                 .pe_name = "ghost9",
-                                 .start_time = 0,
-                                 .end_time = 1});
+  obs::SpanTracer tracer(64);
+  record_execution(tracer, "NOPE", 0, /*cpu0*/ 0, 0, 1);
+  record_execution(tracer, "FFT", 0, /*a PE host(1) lacks*/ 9, 0, 1);
+  ASSERT_EQ(tracer.dropped(), 0u);
   const auto platform = platform::host(1);
-  EXPECT_EQ(platform::profile_costs(log, platform).status().code(),
+  EXPECT_EQ(platform::profile_costs(tracer.snapshot(), platform)
+                .status()
+                .code(),
             StatusCode::kFailedPrecondition);  // nothing usable
 
-  trace::TraceLog empty;
-  EXPECT_FALSE(platform::profile_costs(empty, platform).ok());
+  EXPECT_FALSE(platform::profile_costs({}, platform).ok());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "cedr/cedr.h"
 #include "cedr/platform/fault.h"
 #include "cedr/runtime/runtime.h"
+#include "cedr/trace/report.h"
 #include "cedr/sim/model.h"
 #include "cedr/sim/simulator.h"
 
@@ -171,18 +172,19 @@ TEST(RuntimeFaults, RetryLandsOnAlternatePeType) {
   EXPECT_GE(runtime.counters().get("tasks_recovered"), 1u);
   EXPECT_EQ(runtime.counters().get("tasks_failed"), 0u);
   // The failed attempt ran on fft0; the successful one must not have.
+  ASSERT_EQ(runtime.tracer().dropped(), 0u);
   bool saw_failed_on_fft = false;
   bool saw_recovery_elsewhere = false;
-  for (const auto& task : runtime.trace_log().tasks()) {
-    if (!task.ok) saw_failed_on_fft |= task.pe_name == "fft0";
-    if (task.ok && task.attempt > 0) {
-      saw_recovery_elsewhere |= task.pe_name != "fft0";
-    }
+  for (const auto& task :
+       trace::task_executions(runtime.tracer().snapshot())) {
+    const std::string& pe = config.platform.pes[task.pe_index].name;
+    if (!task.ok) saw_failed_on_fft |= pe == "fft0";
+    if (task.ok && task.attempt > 0) saw_recovery_elsewhere |= pe != "fft0";
   }
   EXPECT_TRUE(saw_failed_on_fft);
   EXPECT_TRUE(saw_recovery_elsewhere);
   // Recovered tasks feed the retry-latency histogram.
-  EXPECT_GE(runtime.trace_log().retry_latency().count(), 1u);
+  EXPECT_GE(runtime.metrics().histogram("retry_latency_us").count(), 1u);
 }
 
 TEST(RuntimeFaults, QuarantineAfterConsecutiveFaults) {

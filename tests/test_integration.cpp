@@ -9,6 +9,7 @@
 #include "cedr/ipc/ipc.h"
 #include "cedr/kernels/image.h"
 #include "cedr/runtime/runtime.h"
+#include "cedr/trace/report.h"
 
 namespace cedr {
 namespace {
@@ -36,15 +37,14 @@ TEST(Integration, OversizeFftNeverRoutesToAccelerator) {
   ASSERT_TRUE(instance.ok());
   ASSERT_TRUE(runtime.wait_all(60.0).ok());
   EXPECT_TRUE(runtime.shutdown().ok());
+  ASSERT_EQ(runtime.tracer().dropped(), 0u);
   bool oversize_on_cpu = false;
   bool small_on_accel = false;
-  for (const auto& task : runtime.trace_log().tasks()) {
-    if (task.problem_size == 4096) {
-      oversize_on_cpu = task.pe_name.rfind("cpu", 0) == 0;
-    }
-    if (task.problem_size == 2048) {
-      small_on_accel = task.pe_name.rfind("fft", 0) == 0;
-    }
+  for (const auto& task :
+       trace::task_executions(runtime.tracer().snapshot())) {
+    const std::string& pe = config.platform.pes[task.pe_index].name;
+    if (task.problem_size == 4096) oversize_on_cpu = pe.rfind("cpu", 0) == 0;
+    if (task.problem_size == 2048) small_on_accel = pe.rfind("fft", 0) == 0;
   }
   EXPECT_TRUE(oversize_on_cpu);
   EXPECT_TRUE(small_on_accel);
@@ -123,8 +123,6 @@ TEST(Integration, ShutdownWithInFlightApplicationsDrainsCleanly) {
                     .ok());
   }
   // No wait_all: destructor-driven shutdown must drain everything.
-  const auto tasks_before = runtime->trace_log().tasks().size();
-  (void)tasks_before;
   runtime.reset();
   EXPECT_TRUE(finished.load());
 }

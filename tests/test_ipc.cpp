@@ -9,6 +9,7 @@
 
 #include "cedr/cedr.h"
 #include "cedr/ipc/ipc.h"
+#include "cedr/trace/report.h"
 
 namespace cedr::ipc {
 namespace {
@@ -123,16 +124,14 @@ TEST(Ipc, WaitSucceedsOnIdleRuntime) {
   EXPECT_TRUE(runtime.shutdown().ok());
 }
 
-TEST(Ipc, ShutdownSerializesTraceAndUnblocksWaiter) {
+TEST(Ipc, ShutdownUnblocksWaiter) {
   rt::Runtime runtime(small_config());
   ASSERT_TRUE(runtime.start().ok());
-  // Generate some trace content through an API app.
   auto instance = runtime.submit_api("traced", [] {});
   ASSERT_TRUE(instance.ok());
   ASSERT_TRUE(runtime.wait_all(30.0).ok());
 
-  const std::string trace_path = ::testing::TempDir() + "/cedr_ipc_trace.json";
-  IpcServer server(runtime, temp_socket("shutdown"), trace_path);
+  IpcServer server(runtime, temp_socket("shutdown"));
   ASSERT_TRUE(server.start().ok());
 
   IpcClient client(server.socket_path());
@@ -140,11 +139,7 @@ TEST(Ipc, ShutdownSerializesTraceAndUnblocksWaiter) {
   server.wait_for_shutdown();  // must not block after SHUTDOWN
   server.stop();
   EXPECT_TRUE(runtime.shutdown().ok());
-
-  auto trace = json::parse_file(trace_path);
-  ASSERT_TRUE(trace.ok());
-  ASSERT_NE(trace->find("apps"), nullptr);
-  EXPECT_EQ(trace->find("apps")->as_array().size(), 1u);
+  EXPECT_EQ(runtime.completed_apps(), 1u);
 }
 
 TEST(Ipc, SubmitSharedObjectEndToEnd) {
@@ -172,10 +167,12 @@ TEST(Ipc, SubmitSharedObjectEndToEnd) {
   server.stop();
   EXPECT_TRUE(runtime.shutdown().ok());
   // The dlopen'ed app's CEDR calls were scheduled by *this* runtime.
-  EXPECT_GT(runtime.trace_log().tasks().size(), 100u);
-  const auto apps = runtime.trace_log().apps();
-  ASSERT_EQ(apps.size(), 1u);
-  EXPECT_EQ(apps[0].app_name, "ipc_pd");
+  EXPECT_GT(runtime.stats().tasks_executed, 100u);
+  ASSERT_EQ(runtime.tracer().dropped(), 0u);
+  const trace::Report report =
+      trace::summarize(runtime.tracer().snapshot(), runtime.trace_tracks());
+  ASSERT_EQ(report.apps.size(), 1u);
+  EXPECT_EQ(report.apps[0].name, "ipc_pd");
 }
 
 TEST(Ipc, ClientFailsCleanlyWithoutServer) {

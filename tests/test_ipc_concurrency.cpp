@@ -151,7 +151,7 @@ TEST(IpcConcurrency, SaturationRepliesBusyAndCounts) {
 
   IpcServerConfig config;
   config.max_inflight_apps = 1;
-  IpcServer server(runtime, temp_socket("busy"), "", config);
+  IpcServer server(runtime, temp_socket("busy"), config);
   ASSERT_TRUE(server.start().ok());
 
   IpcClient client(server.socket_path());

@@ -13,6 +13,7 @@
 #include "cedr/json/json.h"
 #include "cedr/kernels/fft.h"
 #include "cedr/runtime/runtime.h"
+#include "cedr/trace/report.h"
 #include "cedr/sim/model.h"
 #include "cedr/sim/simulator.h"
 #include "cedr/workload/workload.h"
@@ -288,9 +289,11 @@ TEST_P(RetryBoundProperty, AttemptsNeverExceedPolicyBound) {
   ASSERT_TRUE(runtime.wait_all(120.0).ok());
   EXPECT_TRUE(runtime.shutdown().ok());
 
-  for (const auto& task : runtime.trace_log().tasks()) {
-    EXPECT_LE(task.attempt, bound) << "retry bound exceeded on "
-                                   << task.pe_name;
+  ASSERT_EQ(runtime.tracer().dropped(), 0u);
+  for (const auto& task :
+       trace::task_executions(runtime.tracer().snapshot())) {
+    EXPECT_LE(task.attempt, bound)
+        << "retry bound exceeded on " << config.platform.pes[task.pe_index].name;
   }
   EXPECT_EQ(runtime.completed_apps(), 6u);
   const std::uint64_t recovered = runtime.counters().get("tasks_recovered");
@@ -300,7 +303,7 @@ TEST_P(RetryBoundProperty, AttemptsNeverExceedPolicyBound) {
   // failure; retried counts attempts, so it is at least the number of
   // tasks that needed any retry and at most bound * that.
   EXPECT_GE(retried, recovered + failed > 0 ? 1u : 0u);
-  EXPECT_LE(failed * 1u, runtime.trace_log().tasks().size());
+  EXPECT_LE(failed * 1u, runtime.stats().tasks_executed);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RetryBoundProperty, ::testing::Range(0, 4));

@@ -1,58 +1,71 @@
-// Tests for offline trace analysis (trace::Report).
+// Tests for offline trace analysis (trace::Report) over the span stream.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "cedr/cedr.h"
+#include "cedr/obs/segment.h"
 #include "cedr/runtime/runtime.h"
 #include "cedr/trace/report.h"
 
 namespace cedr::trace {
 namespace {
 
-void fill_sample(TraceLog& log) {
-  log.add_app(AppRecord{.app_instance_id = 1,
-                        .app_name = "pd",
-                        .arrival_time = 0.0,
-                        .launch_time = 0.0,
-                        .completion_time = 0.4});
-  log.add_app(AppRecord{.app_instance_id = 2,
-                        .app_name = "tx",
-                        .arrival_time = 0.1,
-                        .launch_time = 0.1,
-                        .completion_time = 0.3});
-  log.add_task(TaskRecord{.app_instance_id = 1,
-                          .app_name = "",
-                          .task_id = 10,
-                          .kernel_name = "FFT",
-                          .pe_name = "cpu0",
-                          .enqueue_time = 0.00,
-                          .start_time = 0.05,
-                          .end_time = 0.15});
-  log.add_task(TaskRecord{.app_instance_id = 1,
-                          .app_name = "",
-                          .task_id = 11,
-                          .kernel_name = "FFT",
-                          .pe_name = "fft0",
-                          .enqueue_time = 0.10,
-                          .start_time = 0.20,
-                          .end_time = 0.40});
-  log.add_task(TaskRecord{.app_instance_id = 2,
-                          .app_name = "",
-                          .task_id = 12,
-                          .kernel_name = "ZIP",
-                          .pe_name = "cpu0",
-                          .enqueue_time = 0.15,
-                          .start_time = 0.20,
-                          .end_time = 0.30});
-  log.add_sched(SchedRecord{.time = 0.01, .ready_tasks = 3, .assigned = 3,
-                            .decision_time = 0.002});
-  log.add_sched(SchedRecord{.time = 0.2, .ready_tasks = 7, .assigned = 7,
-                            .decision_time = 0.004});
+using obs::Category;
+using obs::EventKind;
+
+/// One executed attempt as the worker records it: the enqueue flow on the
+/// app's pid, then the flow end and the execute span on the PE track.
+void record_task(obs::SpanTracer& tracer, std::uint64_t app, std::uint64_t key,
+                 const char* kernel, std::size_t size, std::uint64_t pe,
+                 double enqueue, double start, double end,
+                 std::uint32_t attempt = 0, bool ok = true) {
+  if (attempt == 0) {
+    tracer.flow(EventKind::kFlowBegin, Category::kApp, kernel, 1 + app, 0,
+                enqueue, key);
+  }
+  tracer.flow(EventKind::kFlowEnd, Category::kWorker, "execute", 0, 1 + pe,
+              start, key);
+  tracer.complete_span(Category::kWorker, kernel, 0, 1 + pe, start,
+                       end - start, kernel, static_cast<double>(size),
+                       ok ? obs::kAttemptArg : obs::kFailedAttemptArg,
+                       static_cast<double>(attempt));
+}
+
+void record_app(obs::SpanTracer& tracer, std::uint64_t app, double arrival,
+                double completion) {
+  tracer.instant(Category::kApp, "app_arrival", 1 + app, 0, arrival);
+  tracer.instant(Category::kApp, "app_complete", 1 + app, 0, completion,
+                 "exec_time_s", completion - arrival);
+}
+
+/// Two apps, three tasks on two PEs, two scheduling rounds.
+std::vector<obs::SpanEvent> sample_events() {
+  obs::SpanTracer tracer(256);
+  record_app(tracer, 1, 0.0, 0.4);
+  record_app(tracer, 2, 0.1, 0.3);
+  record_task(tracer, 1, 10, "FFT", 256, 0, 0.00, 0.05, 0.15);
+  record_task(tracer, 1, 11, "FFT", 256, 1, 0.10, 0.20, 0.40);
+  record_task(tracer, 2, 12, "ZIP", 256, 0, 0.15, 0.20, 0.30);
+  tracer.complete_span(Category::kSched, "sched EFT", 0, 0, 0.01, 0.002,
+                       "ready", 3.0, "assigned", 3.0);
+  tracer.complete_span(Category::kSched, "sched EFT", 0, 0, 0.2, 0.004,
+                       "ready", 7.0, "assigned", 7.0);
+  EXPECT_EQ(tracer.dropped(), 0u);
+  return tracer.snapshot();
+}
+
+std::vector<obs::TrackName> sample_tracks() {
+  return {
+      {.pid = 0, .tid = 1, .name = "cpu0"},
+      {.pid = 0, .tid = 2, .name = "fft0"},
+      {.pid = 2, .is_process = true, .name = "pd #1"},
+      {.pid = 3, .is_process = true, .name = "tx #2"},
+  };
 }
 
 TEST(Report, SummarizesInMemoryLog) {
-  TraceLog log;
-  fill_sample(log);
-  const Report report = summarize(log);
+  const Report report = summarize(sample_events(), sample_tracks());
   EXPECT_DOUBLE_EQ(report.makespan, 0.4);
   ASSERT_EQ(report.apps.size(), 2u);
   EXPECT_EQ(report.apps[0].name, "pd");  // sorted by arrival
@@ -81,46 +94,100 @@ TEST(Report, SummarizesInMemoryLog) {
   EXPECT_LE(report.service_time_p50, report.service_time_p99);
 }
 
-TEST(Report, JsonRoundTripMatchesInMemory) {
-  TraceLog log;
-  fill_sample(log);
-  const Report direct = summarize(log);
-  auto from_json = summarize_json(log.to_json());
-  ASSERT_TRUE(from_json.ok());
-  EXPECT_DOUBLE_EQ(from_json->makespan, direct.makespan);
-  EXPECT_DOUBLE_EQ(from_json->avg_execution_time, direct.avg_execution_time);
-  EXPECT_EQ(from_json->apps.size(), direct.apps.size());
-  EXPECT_EQ(from_json->pes.size(), direct.pes.size());
-  EXPECT_DOUBLE_EQ(from_json->queue_delay_mean, direct.queue_delay_mean);
-  EXPECT_EQ(from_json->max_ready_queue, direct.max_ready_queue);
+TEST(Report, DecodesTaskExecutions) {
+  const auto tasks = task_executions(sample_events());
+  ASSERT_EQ(tasks.size(), 3u);
+  EXPECT_EQ(tasks[0].app_instance_id, 1u);
+  EXPECT_EQ(tasks[0].task_key, 10u);
+  EXPECT_EQ(tasks[0].kernel, "FFT");
+  EXPECT_EQ(tasks[0].pe_index, 0u);
+  EXPECT_EQ(tasks[0].problem_size, 256u);
+  EXPECT_DOUBLE_EQ(tasks[0].queue_delay(), 0.05);
+  EXPECT_DOUBLE_EQ(tasks[0].service_time(), 0.10);
+  EXPECT_EQ(tasks[1].pe_index, 1u);
+  EXPECT_EQ(tasks[2].app_instance_id, 2u);
+  EXPECT_EQ(tasks[2].kernel, "ZIP");
+}
+
+TEST(Report, FaultViewFromSpanStream) {
+  obs::SpanTracer tracer(64);
+  record_app(tracer, 1, 0.0, 0.5);
+  // Task 7 fails on fft0, then recovers on cpu0; task 8 fails for good.
+  record_task(tracer, 1, 7, "FFT", 64, 1, 0.0, 0.01, 0.02, 0, false);
+  tracer.instant(Category::kFault, "pe_quarantined", 0, 2, 0.02,
+                 "consecutive_faults", 3.0);
+  record_task(tracer, 1, 7, "FFT", 64, 0, 0.0, 0.10, 0.12, 1, true);
+  tracer.instant(Category::kFault, "task_recovered", 0, 1, 0.12, "latency_s",
+                 0.12);
+  record_task(tracer, 1, 8, "FFT", 64, 0, 0.2, 0.21, 0.22, 0, false);
+  tracer.instant(Category::kFault, "task_failed", 0, 1, 0.22, "attempts", 1.0);
+  tracer.instant(Category::kFault, "pe_reinstated", 0, 2, 0.3);
+  ASSERT_EQ(tracer.dropped(), 0u);
+  const auto events = tracer.snapshot();
+
+  const auto tasks = task_executions(events);
+  ASSERT_EQ(tasks.size(), 3u);
+  EXPECT_FALSE(tasks[0].ok);
+  EXPECT_TRUE(tasks[1].ok);
+  EXPECT_EQ(tasks[1].attempt, 1u);
+  EXPECT_EQ(tasks[1].task_key, 7u);
+  EXPECT_DOUBLE_EQ(tasks[1].enqueue_time, 0.0);  // the first enqueue
+
+  const Report report = summarize(events);
+  EXPECT_EQ(report.failed_attempts, 2u);
+  EXPECT_EQ(report.retried_attempts, 1u);
+  EXPECT_EQ(report.failed_tasks, 1u);
+  EXPECT_EQ(report.pes_quarantined, 1u);
+  EXPECT_EQ(report.pes_reinstated, 1u);
+  EXPECT_EQ(report.retry_latency_count, 1u);
+  EXPECT_DOUBLE_EQ(report.retry_latency_mean, 0.12);
+  // Queue delay counts first attempts only: 10 ms and 10 ms.
+  EXPECT_NEAR(report.queue_delay_mean, 0.01, 1e-12);
+  // Without track names, PEs read by index.
+  ASSERT_EQ(report.pes.size(), 2u);
+  EXPECT_EQ(report.pes[0].name, "pe0");
+  EXPECT_EQ(report.pes[1].name, "pe1");
 }
 
 TEST(Report, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/cedr_report_test.json";
-  TraceLog log;
-  fill_sample(log);
-  ASSERT_TRUE(log.write_json(path).ok());
-  auto report = summarize_file(path);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->apps.size(), 2u);
-  EXPECT_EQ(summarize_file("/nope.json").status().code(),
-            StatusCode::kNotFound);
-}
+  // The offline path: rotated `.cbt` segments on disk, stitched back, must
+  // summarize exactly like the in-memory stream they came from.
+  const std::string dir =
+      ::testing::TempDir() + "/cedr_report_segments_" +
+      std::to_string(::testing::UnitTest::GetInstance()->random_seed());
+  std::filesystem::remove_all(dir);
+  obs::SpanTracer tracer(256);
+  for (const obs::SpanEvent& e : sample_events()) tracer.record(e);
+  ASSERT_EQ(tracer.dropped(), 0u);
+  obs::SegmentWriter writer({.dir = dir, .max_segment_events = 4});
+  ASSERT_TRUE(writer.open().ok());
+  std::uint64_t cursor = 0;
+  ASSERT_TRUE(
+      writer.append(tracer.drain(cursor), 0, sample_tracks(), 0.0).ok());
+  ASSERT_TRUE(writer.finalize(sample_tracks()).ok());
 
-TEST(Report, RejectsMalformedDocuments) {
-  EXPECT_FALSE(summarize_json(json::Value(1)).ok());
-  EXPECT_FALSE(summarize_json(json::Object{}).ok());
-  EXPECT_FALSE(summarize_json(json::Object{
-                   {"tasks", json::Value(json::Array{})},
-                   {"apps", json::Value(3)},
-                   {"sched_rounds", json::Value(json::Array{})}})
-                   .ok());
+  auto paths = obs::list_segments(dir);
+  ASSERT_TRUE(paths.ok());
+  EXPECT_GT(paths->size(), 1u);  // rotated
+  auto stitched = obs::stitch_segments(*paths);
+  ASSERT_TRUE(stitched.ok()) << stitched.status().to_string();
+  const Report direct = summarize(sample_events(), sample_tracks());
+  const Report offline = summarize(stitched->events, stitched->tracks);
+  EXPECT_DOUBLE_EQ(offline.makespan, direct.makespan);
+  EXPECT_DOUBLE_EQ(offline.avg_execution_time, direct.avg_execution_time);
+  ASSERT_EQ(offline.apps.size(), direct.apps.size());
+  EXPECT_EQ(offline.apps[0].name, "pd");
+  EXPECT_EQ(offline.pes.size(), direct.pes.size());
+  EXPECT_DOUBLE_EQ(offline.queue_delay_mean, direct.queue_delay_mean);
+  EXPECT_EQ(offline.max_ready_queue, direct.max_ready_queue);
+  EXPECT_EQ(render_text(offline), render_text(direct));
+  EXPECT_FALSE(obs::list_segments(dir + "/nope").ok());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Report, TextRenderingContainsKeyNumbers) {
-  TraceLog log;
-  fill_sample(log);
-  const std::string text = render_text(summarize(log));
+  const std::string text =
+      render_text(summarize(sample_events(), sample_tracks()));
   EXPECT_NE(text.find("makespan"), std::string::npos);
   EXPECT_NE(text.find("pd"), std::string::npos);
   EXPECT_NE(text.find("fft0"), std::string::npos);
@@ -130,53 +197,28 @@ TEST(Report, TextRenderingContainsKeyNumbers) {
   EXPECT_NE(text.find("p99"), std::string::npos);
 }
 
-TEST(Report, ChromeExportFromTraceJson) {
-  TraceLog log;
-  fill_sample(log);
-  auto chrome = chrome_trace_from_trace_json(log.to_json());
-  ASSERT_TRUE(chrome.ok());
-  const json::Value* rows = chrome->find("traceEvents");
-  ASSERT_NE(rows, nullptr);
-  std::size_t spans = 0, flows = 0, instants = 0;
-  double last_ts = -1.0;
-  for (const json::Value& row : rows->as_array()) {
-    const std::string ph = row.get_string("ph", "");
-    if (ph == "M") continue;
-    const double ts = row.get_double("ts", -1.0);
-    EXPECT_GE(ts, last_ts);  // exporter sorts by timestamp
-    last_ts = ts;
-    if (ph == "X") ++spans;
-    if (ph == "s" || ph == "f") ++flows;
-    if (ph == "i") ++instants;
-  }
-  // 3 task spans + 2 sched rounds, a begin+end flow pair per task, and an
-  // arrival + completion instant per app.
-  EXPECT_EQ(spans, 5u);
-  EXPECT_EQ(flows, 6u);
-  EXPECT_EQ(instants, 4u);
-  // Malformed input is rejected, not crashed on.
-  EXPECT_FALSE(chrome_trace_from_trace_json(json::Value(1)).ok());
-}
-
 TEST(Gantt, RendersRowsPerPe) {
-  TraceLog log;
-  fill_sample(log);
-  const std::string gantt = render_gantt(log, 40);
+  const std::string gantt = render_gantt(sample_events(), sample_tracks(), 40);
   // One row per PE plus the legend line.
   EXPECT_NE(gantt.find("cpu0"), std::string::npos);
   EXPECT_NE(gantt.find("fft0"), std::string::npos);
   // App 1's tasks drawn as '1', app 2's as '2'.
   EXPECT_NE(gantt.find('1'), std::string::npos);
   EXPECT_NE(gantt.find('2'), std::string::npos);
+  // Columns span the executions (50..400 ms), not the time since t = 0:
+  // the first task opens cpu0's row.
+  EXPECT_NE(gantt.find("  cpu0    |1"), std::string::npos) << gantt;
+  EXPECT_NE(gantt.find("columns span 50..400 ms"), std::string::npos)
+      << gantt;
 }
 
 TEST(Gantt, EmptyLogIsSafe) {
-  TraceLog empty;
-  EXPECT_EQ(render_gantt(empty, 40), "(no tasks)\n");
+  EXPECT_EQ(render_gantt({}, sample_tracks(), 40), "(no tasks)\n");
 }
 
 TEST(Report, EndToEndFromRuntimeTrace) {
-  // Summaries computed from a real runtime trace must be self-consistent.
+  // Summaries computed from a real runtime's span stream must be
+  // self-consistent.
   rt::RuntimeConfig config;
   config.platform = platform::host(2, 1);
   rt::Runtime runtime(config);
@@ -192,12 +234,17 @@ TEST(Report, EndToEndFromRuntimeTrace) {
                   .ok());
   ASSERT_TRUE(runtime.wait_all(30.0).ok());
   EXPECT_TRUE(runtime.shutdown().ok());
-  const Report report = summarize(runtime.trace_log());
-  EXPECT_EQ(report.apps.size(), 1u);
+  ASSERT_EQ(runtime.tracer().dropped(), 0u);
+  const Report report =
+      summarize(runtime.tracer().snapshot(), runtime.trace_tracks());
+  ASSERT_EQ(report.apps.size(), 1u);
+  EXPECT_EQ(report.apps[0].name, "probe");
   EXPECT_EQ(report.apps[0].tasks, 8u);
   double pe_tasks = 0;
   for (const auto& pe : report.pes) pe_tasks += static_cast<double>(pe.tasks);
   EXPECT_EQ(pe_tasks, 8.0);
+  EXPECT_EQ(report.pes.size(), config.platform.pes.size());  // idle PEs too
+  EXPECT_EQ(report.sched_rounds, runtime.counters().get("sched_rounds"));
   EXPECT_GE(report.makespan, report.avg_execution_time);
   EXPECT_GE(report.queue_delay_max, report.queue_delay_mean);
 }

@@ -246,7 +246,7 @@ class ShmEndToEnd : public ::testing::Test {
     runtime_ = std::make_unique<rt::Runtime>(small_config());
     ASSERT_TRUE(runtime_->start().ok());
     server_ = std::make_unique<ipc::IpcServer>(*runtime_, temp_socket(name),
-                                               "", config);
+                                               config);
     ASSERT_TRUE(server_->start().ok());
   }
   void TearDown() override {

@@ -92,15 +92,18 @@ TEST(StressSoak, FiveHundredInstancesWithFivePercentFaults) {
 
   // Trace integrity under churn: timestamps are per-task monotonic and the
   // task count covers at least one attempt per submitted kernel call.
-  const auto& tasks = runtime.trace_log().tasks();
+  ASSERT_EQ(runtime.tracer().dropped(), 0u);
+  const auto spans = runtime.tracer().snapshot();
+  const auto tasks = trace::task_executions(spans);
   EXPECT_GE(tasks.size(), kInstances * 2 - kInstances / 3);
+  EXPECT_EQ(tasks.size(), runtime.stats().tasks_executed);
   for (const auto& task : tasks) {
     EXPECT_GE(task.start_time, task.enqueue_time);
     EXPECT_GE(task.end_time, task.start_time);
   }
 
   // The offline report surfaces the fault-tolerance story by name.
-  const trace::Report report = trace::summarize(runtime.trace_log());
+  const trace::Report report = trace::summarize(spans, runtime.trace_tracks());
   const std::string text = trace::render_text(report);
   EXPECT_NE(text.find("tasks_retried"), std::string::npos);
   EXPECT_NE(text.find("pes_quarantined"), std::string::npos);

@@ -1,13 +1,13 @@
 // The CEDR daemon process (paper Fig. 1).
 //
 // Starts a runtime for the requested platform/scheduler and serves the IPC
-// submission protocol until a SHUTDOWN command arrives, then serializes the
-// execution trace.
+// submission protocol until a SHUTDOWN command arrives. Its execution log
+// is the span stream, serialized by --trace-dir (continuously, as rotated
+// segments) and --trace-out (once, on exit).
 //
 // usage: cedr_daemon <socket-path> [--platform host|zcu102|jetson]
 //                    [--cpus N] [--ffts N] [--mmults N] [--gpus N]
 //                    [--scheduler RR|EFT|ETF|HEFT_RT|HEFT_LA|EFT_LA]
-//                    [--trace PATH]
 //                    [--fault-plan JSON] [--metrics-interval SECONDS]
 //                    [--trace-out CHROME_JSON] [--adapt]
 //                    [--adapt-half-life SAMPLES] [--adapt-min-samples N]
@@ -22,8 +22,8 @@
 // drained every --trace-flush-interval seconds into rotated binary `.cbt`
 // segments under DIR (size bound --trace-segment-events, age bound
 // --trace-segment-age, retention --trace-retention finalized files), so the
-// trace survives a crash and a run of unbounded length; convert with
-// `cedr_trace_report --from-segments DIR --chrome out.json`. See
+// trace survives a crash and a run of unbounded length; summarize and
+// convert with `cedr_trace_report --from-segments DIR --chrome out.json`. See
 // docs/observability.md.
 //
 // --wait-timeout sets RuntimeConfig::default_wait_timeout_s, the deadline
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s <socket-path> [--platform host|zcu102|jetson] "
                  "[--cpus N] [--ffts N] [--mmults N] [--gpus N] "
-                 "[--scheduler NAME] [--trace PATH] [--config JSON] "
+                 "[--scheduler NAME] [--config JSON] "
                  "[--fault-plan JSON] [--metrics-interval SECONDS] "
                  "[--trace-out CHROME_JSON] [--adapt] "
                  "[--adapt-half-life SAMPLES] [--adapt-min-samples N] "
@@ -84,7 +84,6 @@ int main(int argc, char** argv) {
   const std::string socket_path = argv[1];
   std::string platform_name = "host";
   std::string scheduler = "EFT";
-  std::string trace_path;
   std::string config_path;
   std::string fault_plan_path;
   std::string chrome_trace_path;
@@ -110,7 +109,6 @@ int main(int argc, char** argv) {
     };
     if (arg == "--platform") platform_name = next();
     else if (arg == "--scheduler") scheduler = next();
-    else if (arg == "--trace") trace_path = next();
     else if (arg == "--cpus") cpus = std::strtoul(next(), nullptr, 10);
     else if (arg == "--ffts") ffts = std::strtoul(next(), nullptr, 10);
     else if (arg == "--mmults") mmults = std::strtoul(next(), nullptr, 10);
@@ -154,6 +152,10 @@ int main(int argc, char** argv) {
     else if (arg == "--trace-retention")
       trace_retention = std::strtol(next(), nullptr, 10);
     else if (arg == "--verbose") log::set_level(log::Level::kInfo);
+    else {
+      std::fprintf(stderr, "cedr_daemon: unknown option %s\n", arg.c_str());
+      return 2;
+    }
   }
 
   rt::RuntimeConfig config;
@@ -215,7 +217,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "runtime start failed: %s\n", s.to_string().c_str());
     return 1;
   }
-  ipc::IpcServer server(runtime, socket_path, trace_path, ipc_config);
+  ipc::IpcServer server(runtime, socket_path, ipc_config);
   if (const Status s = server.start(); !s.ok()) {
     std::fprintf(stderr, "IPC server failed: %s\n", s.to_string().c_str());
     return 1;

@@ -1,21 +1,22 @@
-// Offline analysis of a serialized CEDR trace (paper §II-A: logs are
-// serialized at shutdown "for later offline analysis by the user").
+// Offline analysis of a CEDR trace (paper §II-A: logs are serialized "for
+// later offline analysis by the user").
 //
-// usage: cedr_trace_report <trace.json> [--gantt [WIDTH]]
+// usage: cedr_trace_report --from-segments <dir> [--gantt [WIDTH]]
 //                          [--chrome <out.json>]
-//        cedr_trace_report --from-segments <dir> [--chrome <out.json>]
 //
-// --chrome reconstructs a Chrome trace-event document from the trace
-// records and writes it to <out.json> (loadable in chrome://tracing or
-// Perfetto). A missing or malformed trace file is diagnosed on stderr and
-// exits nonzero.
+// Reads the rotated binary `.cbt` segments a daemon's continuous trace
+// pipeline left under <dir> (cedr_daemon --trace-dir, see
+// docs/observability.md), stitches them back into one stream (deduplicated
+// across rotation boundaries, re-sorted to record order), and prints the
+// segment inventory followed by the trace summary: per-application
+// execution times, per-PE utilization, queue-delay and service-time
+// statistics, scheduling totals and the fault-tolerance counts.
 //
-// --from-segments reads the rotated binary `.cbt` segments a daemon's
-// continuous trace pipeline left under <dir> (see docs/observability.md),
-// stitches them back into one stream (deduplicated across rotation
-// boundaries, re-sorted to record order), prints a summary, and with
-// --chrome writes the same Chrome trace-event JSON the runtime's direct
-// --trace-out export would have produced.
+// --gantt renders an ASCII Gantt chart of task placement, one row per PE
+// and WIDTH columns (default 100). --chrome writes the same Chrome
+// trace-event JSON the runtime's direct --trace-out export would have
+// produced (loadable in chrome://tracing or Perfetto). A missing, empty or
+// corrupt segment directory is diagnosed on stderr and exits nonzero.
 
 #include <algorithm>
 #include <cstdio>
@@ -28,12 +29,11 @@
 
 using namespace cedr;
 
-namespace {
-
-int report_from_segments(int argc, char** argv) {
-  if (argc < 3) {
+int main(int argc, char** argv) {
+  if (argc < 3 || std::string(argv[1]) != "--from-segments") {
     std::fprintf(stderr,
-                 "usage: %s --from-segments <dir> [--chrome <out.json>]\n",
+                 "usage: %s --from-segments <dir> [--gantt [WIDTH]] "
+                 "[--chrome <out.json>]\n",
                  argv[0]);
     return 2;
   }
@@ -72,10 +72,28 @@ int report_from_segments(int argc, char** argv) {
   std::printf("  dropped    %llu (ring overwrites that outran the flusher)\n",
               static_cast<unsigned long long>(stitched->dropped_total));
   std::printf("  tracks     %zu\n", stitched->tracks.size());
-  std::printf("  time span  %.6f .. %.6f s\n", ts_min, ts_max);
+  std::printf("  time span  %.6f .. %.6f s\n\n", ts_min, ts_max);
+  std::fputs(trace::render_text(
+                 trace::summarize(stitched->events, stitched->tracks))
+                 .c_str(),
+             stdout);
 
   for (int i = 3; i < argc; ++i) {
-    if (std::string(argv[i]) == "--chrome") {
+    const std::string arg = argv[i];
+    if (arg == "--gantt") {
+      std::size_t width = 100;
+      if (i + 1 < argc) {
+        const unsigned long parsed = std::strtoul(argv[i + 1], nullptr, 10);
+        if (parsed > 0) {
+          width = parsed;
+          ++i;
+        }
+      }
+      std::printf("\ngantt (task placement over time)\n%s",
+                  trace::render_gantt(stitched->events, stitched->tracks,
+                                      width)
+                      .c_str());
+    } else if (arg == "--chrome") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "--chrome requires an output path\n");
         return 2;
@@ -84,88 +102,6 @@ int report_from_segments(int argc, char** argv) {
       if (const Status s = obs::write_chrome_trace(out_path, stitched->events,
                                                    stitched->tracks);
           !s.ok()) {
-        std::fprintf(stderr, "cannot write %s: %s\n", out_path.c_str(),
-                     s.to_string().c_str());
-        return 1;
-      }
-      std::printf("chrome trace written to %s\n", out_path.c_str());
-    }
-  }
-  return 0;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <trace.json> [--gantt [WIDTH]] "
-                 "[--chrome <out.json>]\n"
-                 "       %s --from-segments <dir> [--chrome <out.json>]\n",
-                 argv[0], argv[0]);
-    return 2;
-  }
-  if (std::string(argv[1]) == "--from-segments") {
-    return report_from_segments(argc, argv);
-  }
-  const std::string path = argv[1];
-
-  // Parse once; every view (summary, gantt, chrome export) reads this
-  // document, and a missing/malformed file is diagnosed exactly once.
-  auto doc = json::parse_file(path);
-  if (!doc.ok()) {
-    std::fprintf(stderr, "cannot read trace %s: %s\n", path.c_str(),
-                 doc.status().to_string().c_str());
-    return 1;
-  }
-  auto report = trace::summarize_json(*doc);
-  if (!report.ok()) {
-    std::fprintf(stderr, "malformed trace %s: %s\n", path.c_str(),
-                 report.status().to_string().c_str());
-    return 1;
-  }
-  std::fputs(trace::render_text(*report).c_str(), stdout);
-
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--gantt") {
-      std::size_t width = 100;
-      if (i + 1 < argc) {
-        const unsigned long parsed = std::strtoul(argv[i + 1], nullptr, 10);
-        if (parsed > 0) width = parsed;
-      }
-      trace::TraceLog log;
-      if (const json::Value* tasks = doc->find("tasks");
-          tasks != nullptr && tasks->is_array()) {
-        for (const json::Value& row : tasks->as_array()) {
-          log.add_task(trace::TaskRecord{
-              .app_instance_id = static_cast<std::uint64_t>(
-                  row.get_int("app_instance_id", 0)),
-              .app_name = row.get_string("app_name", ""),
-              .task_id = static_cast<std::uint64_t>(row.get_int("task_id", 0)),
-              .kernel_name = row.get_string("kernel", ""),
-              .pe_name = row.get_string("pe", "?"),
-              .enqueue_time = row.get_double("enqueue", 0.0),
-              .start_time = row.get_double("start", 0.0),
-              .end_time = row.get_double("end", 0.0),
-          });
-        }
-      }
-      std::printf("\ngantt (task placement over time)\n%s",
-                  trace::render_gantt(log, width).c_str());
-    } else if (arg == "--chrome") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--chrome requires an output path\n");
-        return 2;
-      }
-      const std::string out_path = argv[++i];
-      auto chrome = trace::chrome_trace_from_trace_json(*doc);
-      if (!chrome.ok()) {
-        std::fprintf(stderr, "chrome export failed: %s\n",
-                     chrome.status().to_string().c_str());
-        return 1;
-      }
-      if (const Status s = json::write_file(out_path, *chrome); !s.ok()) {
         std::fprintf(stderr, "cannot write %s: %s\n", out_path.c_str(),
                      s.to_string().c_str());
         return 1;

@@ -7,7 +7,10 @@
 #   3. SIGKILL the daemon mid-run — no shutdown path, no final flush,
 #   4. assert the rotated `.cbt` segments on disk still convert: every
 #      flushed segment parses (CRC-clean), stitches into a monotonic
-#      stream, and exports Chrome trace-event JSON that brackets the run.
+#      stream, and exports Chrome trace-event JSON that brackets the run;
+#   5. assert the offline report (the daemon's only execution log) from
+#      the same segments summarizes both apps and every PE, and renders one
+#      Gantt row per PE.
 #
 # This is the property the binary segment format exists for: a crashed or
 # wedged daemon leaves a usable trace up to the last completed flush,
@@ -97,6 +100,35 @@ for e in events:
     assert e["ts"] >= last.get(key, -1), f"non-monotonic track {key}"
     last[key] = e["ts"]
 print("crash durability ok: %d events, %d complete spans" % (len(events), len(named)))
+EOF
+
+# The offline report from the same segments: per-app and per-PE summary
+# lines, and a Gantt chart with exactly one 80-column row per PE.
+"$REPORT" --from-segments "$TRACE_DIR" --gantt 80 >"$WORK_DIR/report.txt"
+cat "$WORK_DIR/report.txt"
+python3 - "$WORK_DIR/report.txt" <<'EOF'
+import re, sys
+lines = open(sys.argv[1]).read().splitlines()
+def section(title):
+    out = []
+    for line in lines[lines.index(title) + 1:]:
+        if not line.startswith("  "):
+            break
+        out.append(line)
+    return out
+apps = [l for l in section("applications (by arrival)")
+        if re.match(r"  #\d+ \S+: arrival ", l)]
+names = {l.split()[1].rstrip(":") for l in apps}
+assert names >= {"crash_pd", "crash_tx"}, f"per-app lines: {apps}"
+pes = [l.split(":")[0].strip() for l in section("processing elements")
+       if " tasks, busy " in l]
+assert pes, "no per-PE summary lines"
+rows = [l for l in section("gantt (task placement over time)")
+        if re.match(r"  \S+\s*\|[^|]{80}\|$", l)]
+row_pes = [l.split("|")[0].strip() for l in rows]
+assert sorted(row_pes) == sorted(pes), f"gantt rows {row_pes} != PEs {pes}"
+print(f"offline report ok: {len(apps)} apps, {len(pes)} PEs, "
+      f"{len(rows)} gantt rows")
 EOF
 
 echo "trace pipeline smoke passed"
