@@ -53,19 +53,17 @@ BENCHMARK_CAPTURE(BM_SchedulerDecision, HEFT_RT, "HEFT_RT")
     ->Arg(16)->Arg(256)->Arg(1024);
 
 void BM_DagJsonRoundTrip(benchmark::State& state) {
+  // A chain of `nodes` 256-point FFTs in the JSON DAG schema.
   const auto nodes = static_cast<std::size_t>(state.range(0));
-  task::AppDescriptor app;
-  app.name = "bench";
+  std::string text = R"({"app_name":"bench","tasks":[)";
   for (std::size_t i = 0; i < nodes; ++i) {
-    task::Task t;
-    t.id = i;
-    t.name = "node" + std::to_string(i);
-    t.kernel = platform::KernelId::kFft;
-    t.problem_size = 256;
-    (void)app.graph.add_task(std::move(t));
-    if (i > 0) (void)app.graph.add_edge(i - 1, i);
+    const std::string id = std::to_string(i);
+    text += (i == 0 ? "" : ",") + std::string(R"({"id":)") + id +
+            R"(,"name":"node)" + id + R"(","kernel":"FFT","size":256,)" +
+            R"("predecessors":[)" + (i == 0 ? "" : std::to_string(i - 1)) +
+            "]}";
   }
-  const std::string text = task::app_to_json(app).dump();
+  text += "]}";
   for (auto _ : state) {
     auto doc = json::parse(text);
     benchmark::DoNotOptimize(task::app_from_json(*doc));

@@ -116,11 +116,13 @@ int main() {
   node.id = 0;
   node.name = "whole_loop";
   node.kernel = platform::KernelId::kGeneric;  // CPU-only, by construction
-  node.impls = api::make_generic_impls([dag_signal, dag_iterations, mask] {
-    *dag_iterations = refine(*dag_signal, mask);  // runs inline on a worker
-  });
   (void)app->graph.add_task(std::move(node));
-  if (!runtime.submit_dag(app).ok()) return 1;
+  rt::DagSubmission submission{.descriptor = app, .impls = {}};
+  submission.impls.push_back(
+      api::make_generic_impls([dag_signal, dag_iterations, mask] {
+        *dag_iterations = refine(*dag_signal, mask);  // runs inline on a worker
+      }));
+  if (!runtime.submit_dag(std::move(submission)).ok()) return 1;
   (void)runtime.wait_all();
   const rt::RuntimeStats stats = runtime.stats();
   const std::uint64_t total_tasks = stats.tasks_executed;

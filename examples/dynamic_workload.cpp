@@ -58,7 +58,7 @@ int main() {
     if (wave == 1) {
       auto dag = apps::make_pulse_doppler_dag(pd_config);
       if (dag.ok()) {
-        (void)runtime.submit_dag(dag->descriptor);
+        (void)runtime.submit_dag(std::move(dag->submission));
       }
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(25));

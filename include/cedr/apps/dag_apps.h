@@ -2,30 +2,30 @@
 // DAG-based application variants (the pre-CEDR-API programming model).
 //
 // These builders produce the shared-object + JSON-DAG equivalent of the
-// API-based applications: every schedulable operation is one DAG node with
-// per-PE-class implementations bound (Task::impls), and temporal
-// dependencies are explicit edges. They exist so the repository can compare
-// the two programming models functionally (tests) and in timing (sim/,
-// bench/) exactly as the paper does.
+// API-based applications: every schedulable operation is one DAG node, its
+// per-PE-class implementations sit in the submission's impl arrays, and
+// temporal dependencies are explicit edges. They exist so the repository
+// can compare the two programming models functionally (tests) and in timing
+// (sim/, bench/) exactly as the paper does.
 //
-// Each call returns a fresh descriptor with freshly allocated working
-// buffers captured inside the task implementations, so one descriptor
+// Each call returns a fresh submission with freshly allocated working
+// buffers captured inside the task implementations, so one submission
 // corresponds to one application instance (as in CEDR, where each submitted
 // instance gets its own state).
 
-#include <memory>
+#include <functional>
 
 #include "cedr/apps/pulse_doppler.h"
 #include "cedr/apps/wifi_tx.h"
 #include "cedr/common/status.h"
-#include "cedr/task/task.h"
+#include "cedr/runtime/runtime.h"
 
 namespace cedr::apps {
 
-/// A DAG application plus an accessor for its end-to-end result, readable
-/// after the instance completes.
+/// A DAG application instance, ready for Runtime::submit_dag, plus an
+/// accessor for its end-to-end result.
 struct PulseDopplerDag {
-  std::shared_ptr<const task::AppDescriptor> descriptor;
+  rt::DagSubmission submission;
   /// Valid after the runtime reports the instance complete.
   std::function<PulseDopplerResult()> result;
 };
@@ -37,7 +37,7 @@ struct PulseDopplerDag {
 StatusOr<PulseDopplerDag> make_pulse_doppler_dag(const PulseDopplerConfig& cfg);
 
 struct WifiTxDag {
-  std::shared_ptr<const task::AppDescriptor> descriptor;
+  rt::DagSubmission submission;
   std::function<WifiTxResult()> result;
 };
 

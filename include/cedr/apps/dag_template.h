@@ -1,10 +1,40 @@
 #pragma once
-// Compiled executable-DAG templates and the content-hash template cache
-// (docs/runtime_lifecycle.md).
+// Executable JSON DAG applications: compiled templates and the
+// content-hash template cache (docs/runtime_lifecycle.md).
 //
-// instantiate_dag() used to pay the full parse -> validate -> bind pipeline
-// on every submission, which at shm-lane rates dominates the per-instance
-// runtime cost. DagTemplate splits that pipeline at its natural seam:
+// task/dag_loader.h parses the *structure* of a DAG application; in real
+// CEDR the node implementations come from the shared object that ships
+// beside the JSON. An executable document makes that pair self-contained:
+// it declares a pool of named buffers, and each task names the buffers its
+// standard libCEDR module (api/impls.h) reads and writes.
+//
+// {
+//   "app_name": "fd_filter",
+//   "buffers": {
+//     "signal":   {"elems": 1024, "kind": "cfloat"},
+//     "kernel":   {"elems": 1024, "kind": "cfloat"},
+//     "filtered": {"elems": 1024, "kind": "cfloat"}
+//   },
+//   "tasks": [
+//     {"id": 0, "kernel": "FFT",  "args": {"in": "signal", "out": "signal"},
+//      "size": 1024, "predecessors": []},
+//     {"id": 1, "kernel": "ZIP",  "args": {"a": "signal", "b": "kernel",
+//                                           "out": "filtered", "op": 0},
+//      "size": 1024, "predecessors": [0]},
+//     {"id": 2, "kernel": "IFFT", "args": {"in": "filtered",
+//                                           "out": "filtered"},
+//      "size": 1024, "predecessors": [1]},
+//     {"id": 3, "kernel": "GENERIC", "args": {"work_ns": 20000},
+//      "predecessors": [2]}
+//   ]
+// }
+//
+// MMULT args: {"a": BUF, "b": BUF, "c": BUF, "m": M, "k": K, "n": N} over
+// "float" buffers. FFT/IFFT/ZIP use "cfloat" buffers; `size` defaults to
+// the output buffer's element count.
+//
+// DagTemplate splits the parse -> validate -> bind pipeline at its natural
+// seam:
 //
 //   compile (once per distinct document)
 //     JSON -> validated task-graph skeleton (no impls bound), buffer specs,
@@ -55,9 +85,9 @@ struct BufferSpec {
 /// An immutable, shareable compilation of one executable-DAG document.
 class DagTemplate {
  public:
-  /// Validates and compiles a document. Rejects everything instantiate_dag
-  /// rejected: structural errors, unknown kernels/kinds, missing buffers or
-  /// args, size/kind mismatches, non-power-of-two FFTs, bad zip ops.
+  /// Validates and compiles a document. Rejects structural errors, unknown
+  /// kernels/kinds, missing buffers or args, size/kind mismatches,
+  /// non-power-of-two FFTs and bad zip ops.
   static StatusOr<std::shared_ptr<const DagTemplate>> compile(
       const json::Value& doc);
 

@@ -1,48 +1,15 @@
 #pragma once
-// Executable JSON DAG applications.
+// Named buffer storage for executable JSON DAG instances.
 //
-// task/dag_loader.h parses the *structure* of a DAG application; in real
-// CEDR the node implementations come from the accompanying shared object.
-// This module makes a JSON DAG directly executable by binding each node to
-// the standard libCEDR module implementations over a pool of named buffers
-// declared in the document — the self-contained analogue of the shared
-// object + JSON pair a compiled CEDR application ships as.
-//
-// Extended schema (supersets the dag_loader schema):
-// {
-//   "app_name": "fd_filter",
-//   "buffers": {
-//     "signal":   {"elems": 1024, "kind": "cfloat"},
-//     "kernel":   {"elems": 1024, "kind": "cfloat"},
-//     "filtered": {"elems": 1024, "kind": "cfloat"}
-//   },
-//   "tasks": [
-//     {"id": 0, "kernel": "FFT",  "args": {"in": "signal", "out": "signal"},
-//      "size": 1024, "predecessors": []},
-//     {"id": 1, "kernel": "ZIP",  "args": {"a": "signal", "b": "kernel",
-//                                           "out": "filtered", "op": 0},
-//      "size": 1024, "predecessors": [0]},
-//     {"id": 2, "kernel": "IFFT", "args": {"in": "filtered",
-//                                           "out": "filtered"},
-//      "size": 1024, "predecessors": [1]},
-//     {"id": 3, "kernel": "GENERIC", "args": {"work_ns": 20000},
-//      "predecessors": [2]}
-//   ]
-// }
-//
-// MMULT args: {"a": BUF, "b": BUF, "c": BUF, "m": M, "k": K, "n": N} over
-// "float" buffers. FFT/IFFT/ZIP use "cfloat" buffers; `size` defaults to
-// the output buffer's element count.
+// An executable DAG document (apps/dag_template.h) declares the buffers its
+// tasks read and write; every instance gets a fresh BufferPool holding them.
 
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "cedr/common/math_util.h"
 #include "cedr/common/status.h"
-#include "cedr/json/json.h"
-#include "cedr/task/task.h"
 
 namespace cedr::apps {
 
@@ -65,23 +32,5 @@ class BufferPool {
   std::unordered_map<std::string, std::vector<cfloat>> cfloats_;
   std::unordered_map<std::string, std::vector<float>> floats_;
 };
-
-/// A ready-to-submit DAG application: descriptor with bound implementations
-/// plus the buffer pool its tasks read and write. The descriptor's task
-/// lambdas share ownership of the pool, so the pool outlives any runtime
-/// execution even if this struct is discarded after submit_dag().
-struct ExecutableDag {
-  std::shared_ptr<const task::AppDescriptor> descriptor;
-  std::shared_ptr<BufferPool> buffers;
-};
-
-/// Builds an executable instance from an extended-schema document.
-/// Each call creates fresh buffers: one instantiation per submission.
-/// Implemented as DagTemplate::compile + instantiate (dag_template.h);
-/// repeat submitters should cache the template and skip the compile.
-StatusOr<ExecutableDag> instantiate_dag(const json::Value& doc);
-
-/// json::parse_file + instantiate_dag.
-StatusOr<ExecutableDag> load_executable_dag(const std::string& path);
 
 }  // namespace cedr::apps

@@ -266,7 +266,9 @@ class IpcClient {
   /// Submits a shared-object application; returns the instance id.
   StatusOr<std::uint64_t> submit(const std::string& so_path,
                                  const std::string& app_name = "");
-  /// Submits an executable JSON DAG application (apps/executable_dag.h).
+  /// Submits an executable JSON DAG document by path (SUBMITDAG; schema in
+  /// apps/dag_template.h). The daemon reads the file, compiles it through
+  /// its template cache and submits one instance; returns the instance id.
   StatusOr<std::uint64_t> submit_dag(const std::string& json_path);
   /// Returns (submitted, completed).
   StatusOr<std::pair<std::uint64_t, std::uint64_t>> status();

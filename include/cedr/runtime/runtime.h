@@ -16,6 +16,7 @@
 // Lifecycle: construct -> start() -> submit_*() -> wait_*() -> shutdown().
 // shutdown() is idempotent and also runs from the destructor.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -155,17 +156,16 @@ struct PeHealth {
   std::uint64_t quarantines = 0;         ///< times this PE was quarantined
 };
 
-/// A DAG-application submission in fast-path form (docs/runtime_lifecycle.md):
-/// a shareable descriptor plus per-instance implementation arrays indexed by
-/// the graph's storage order (TaskGraph::index_of). When `impls` is empty the
-/// runtime falls back to the implementations bound inside the descriptor's
-/// tasks — the legacy submit_dag shape. A non-empty `impls` lets many
-/// instances share one immutable skeleton descriptor (DagTemplate), so
-/// per-descriptor precomputation (HEFT ranks, predecessor counts, successor
-/// index lists) is cached across submissions.
+/// A DAG-application submission (docs/runtime_lifecycle.md): a shareable
+/// skeleton descriptor plus this instance's implementation arrays, one per
+/// task, indexed by the graph's storage order (TaskGraph::index_of). An
+/// all-empty array marks a timing-only task. Many instances share one
+/// immutable skeleton (DagTemplate), so per-descriptor precomputation (HEFT
+/// ranks, predecessor counts, successor index lists) is cached across
+/// submissions.
 struct DagSubmission {
   std::shared_ptr<const task::AppDescriptor> descriptor;
-  /// Per-task implementations by storage index; empty = use descriptor's.
+  /// Required: exactly one array per task of `descriptor`.
   std::vector<std::array<task::TaskFn, platform::kNumPeClasses>> impls;
 };
 
@@ -194,12 +194,10 @@ class Runtime {
   /// Stops accepting work, waits for in-flight apps, joins all threads.
   Status shutdown();
 
-  /// Submits a DAG-based application instance. Task implementations must be
-  /// bound in the descriptor (Task::impls). Returns the instance id.
-  StatusOr<std::uint64_t> submit_dag(
-      std::shared_ptr<const task::AppDescriptor> app);
-
-  /// Fast-path DAG submission (see DagSubmission). Returns the instance id.
+  /// Submits one DAG-based application instance (see DagSubmission).
+  /// Rejects a null or empty descriptor and an `impls` whose length is not
+  /// the task count (InvalidArgument), and a cyclic graph or a task no PE
+  /// can run (FailedPrecondition). Returns the instance id.
   StatusOr<std::uint64_t> submit_dag(DagSubmission submission);
 
   /// Submits many DAG instances with one lifecycle-lock acquisition and one
@@ -258,7 +256,9 @@ class Runtime {
   Status write_chrome_trace(const std::string& path) const;
 
   /// Current track table (process/thread names) for trace export: runtime
-  /// tracks, workers, and every live or reaped app instance.
+  /// tracks, workers, every live app instance, and every reaped one whose
+  /// spans may still be in the ring (a bounded window, not every instance
+  /// since start).
   [[nodiscard]] std::vector<obs::TrackName> trace_tracks() const;
 
   /// Continuous-trace flusher; nullptr unless ObsConfig::trace_dir is set.

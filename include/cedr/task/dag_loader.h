@@ -4,7 +4,7 @@
 // In DAG-based CEDR, a compiled application is a shared object plus a JSON
 // file that "captures temporal dependencies between nodes and high level
 // control flow of the user's application" (paper §II-A). This module defines
-// that JSON schema and converts documents to/from task::AppDescriptor.
+// that JSON schema and parses documents into task::AppDescriptor.
 //
 // Schema:
 // {
@@ -17,8 +17,6 @@
 //   ]
 // }
 
-#include <string>
-
 #include "cedr/common/status.h"
 #include "cedr/json/json.h"
 #include "cedr/task/task.h"
@@ -26,15 +24,10 @@
 namespace cedr::task {
 
 /// Parses an application from its JSON DAG document. Validates kernel names,
-/// edge references and acyclicity. Implementations (Task::impls) are not
-/// populated: in DAG-based CEDR those come from the shared object; callers
-/// bind them by task name afterwards (see runtime::bind_impls).
+/// edge references and acyclicity. The result is a skeleton: in DAG-based
+/// CEDR the implementations come from the shared object, and here they come
+/// per instance beside the skeleton (apps::DagTemplate binds them from the
+/// document's buffer arguments).
 StatusOr<AppDescriptor> app_from_json(const json::Value& doc);
-
-/// Convenience wrapper over json::parse_file + app_from_json.
-StatusOr<AppDescriptor> load_app(const std::string& path);
-
-/// Serializes an application back to the JSON schema above.
-json::Value app_to_json(const AppDescriptor& app);
 
 }  // namespace cedr::task

@@ -2,14 +2,15 @@
 // Schedulable task model.
 //
 // A task is CEDR's unit of scheduling: one node of a DAG-based application
-// or one libCEDR API call from an API-based application. Tasks carry (a) an
-// abstract identity (kernel id + problem size) that schedulers and cost
-// models consume, and (b) concrete per-PE-class implementations that the
-// threaded runtime invokes — mirroring how CEDR "dynamically updates that
-// task's function pointer such that its worker thread invokes a function
-// that is compatible with that resource" (paper §II-A).
+// or one libCEDR API call from an API-based application. A Task carries only
+// the abstract identity (kernel id + problem size) that schedulers and cost
+// models consume. Its concrete per-PE-class implementations (TaskFn) travel
+// beside it, one array per submission: rt::DagSubmission::impls for a DAG
+// instance, rt::KernelRequest::impls for an API call. The runtime invokes the
+// slot of the PE class it placed the task on, mirroring how CEDR "dynamically
+// updates that task's function pointer such that its worker thread invokes a
+// function that is compatible with that resource" (paper §II-A).
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -46,28 +47,6 @@ struct Task {
   std::size_t problem_size = 0;
   /// Bytes moved to/from an accelerator if one executes this task.
   std::size_t data_bytes = 0;
-  /// Implementation per PE class; an empty slot means "not runnable there"
-  /// even if the class nominally supports the kernel.
-  std::array<TaskFn, platform::kNumPeClasses> impls{};
-
-  /// Installs `fn` as the implementation for `cls`.
-  void set_impl(platform::PeClass cls, TaskFn fn) {
-    impls[static_cast<std::size_t>(cls)] = std::move(fn);
-  }
-  /// True when the task can execute on `cls`: the class supports the kernel
-  /// and an implementation is present (timing-only tasks with no impls at
-  /// all are runnable anywhere the kernel is supported).
-  [[nodiscard]] bool runnable_on(platform::PeClass cls) const noexcept {
-    if (!platform::pe_class_supports(cls, kernel)) return false;
-    bool any_impl = false;
-    for (const TaskFn& fn : impls) {
-      if (fn) {
-        any_impl = true;
-        break;
-      }
-    }
-    return !any_impl || static_cast<bool>(impls[static_cast<std::size_t>(cls)]);
-  }
 };
 
 /// Directed acyclic graph of tasks: one application's structure.

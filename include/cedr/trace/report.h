@@ -43,8 +43,8 @@ struct TaskExecution {
   std::string kernel;                 ///< "FFT", "ZIP", ...
   std::size_t pe_index = 0;           ///< worker tid - 1
   std::size_t problem_size = 0;
-  /// The task's first enqueue (the stream marks no re-enqueue of a retry);
-  /// equals start_time when the enqueue flow is missing.
+  /// This attempt's enqueue: the first for attempt 0, the re-enqueue after
+  /// backoff for a retry. Equals start_time when the enqueue flow is missing.
   double enqueue_time = 0.0;
   double start_time = 0.0;
   double end_time = 0.0;
@@ -86,7 +86,8 @@ struct Report {
   double total_sched_time = 0.0;
   std::size_t sched_rounds = 0;
   std::size_t max_ready_queue = 0;
-  /// Queue-delay statistics (start - enqueue) over first attempts, seconds.
+  /// Queue-delay statistics (start - enqueue) over every attempt, each from
+  /// its own enqueue, seconds.
   /// Quantiles are streaming estimates from a log-linear histogram
   /// (obs::QuantileHistogram).
   double queue_delay_mean = 0.0;

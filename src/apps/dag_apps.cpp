@@ -56,20 +56,22 @@ StatusOr<PulseDopplerDag> make_pulse_doppler_dag(
 
   auto app = std::make_shared<task::AppDescriptor>();
   app->name = "pulse_doppler_dag";
+  std::vector<api::ImplArray> impls;
   task::TaskId next_id = 0;
 
+  // Tasks take sequential ids, so storage index == id == impls position.
   auto add_node = [&](std::string name, platform::KernelId kernel,
                       std::size_t size, std::size_t bytes,
-                      api::ImplArray impls) {
+                      api::ImplArray task_impls) {
     task::Task t;
     t.id = next_id++;
     t.name = std::move(name);
     t.kernel = kernel;
     t.problem_size = size;
     t.data_bytes = bytes;
-    t.impls = std::move(impls);
     const Status s = app->graph.add_task(std::move(t));
     (void)s;  // ids are sequential, duplicates impossible
+    impls.push_back(std::move(task_impls));
     return next_id - 1;
   };
 
@@ -157,7 +159,7 @@ StatusOr<PulseDopplerDag> make_pulse_doppler_dag(
   }
 
   PulseDopplerDag dag;
-  dag.descriptor = app;
+  dag.submission = {.descriptor = std::move(app), .impls = std::move(impls)};
   dag.result = [state] { return state->result; };
   return dag;
 }
@@ -221,6 +223,7 @@ StatusOr<WifiTxDag> make_wifi_tx_dag(const WifiTxConfig& cfg) {
 
   auto app = std::make_shared<task::AppDescriptor>();
   app->name = "wifi_tx_dag";
+  std::vector<api::ImplArray> impls;
   task::TaskId next_id = 0;
   for (std::size_t p = 0; p < cfg.num_packets; ++p) {
     task::Task glue;
@@ -228,11 +231,11 @@ StatusOr<WifiTxDag> make_wifi_tx_dag(const WifiTxConfig& cfg) {
     glue.name = "packet_glue_" + std::to_string(p);
     glue.kernel = platform::KernelId::kGeneric;
     glue.problem_size = 30'000;  // ~30 us of reference-core work
-    glue.impls = api::make_generic_impls([state, p] {
+    CEDR_RETURN_IF_ERROR(app->graph.add_task(std::move(glue)));
+    impls.push_back(api::make_generic_impls([state, p] {
       const Status s = build_grid(*state, p);
       if (!s.ok()) state->result.symbols[p].clear();
-    });
-    CEDR_RETURN_IF_ERROR(app->graph.add_task(std::move(glue)));
+    }));
 
     task::Task ifft;
     ifft.id = next_id++;
@@ -240,15 +243,15 @@ StatusOr<WifiTxDag> make_wifi_tx_dag(const WifiTxConfig& cfg) {
     ifft.kernel = platform::KernelId::kIfft;
     ifft.problem_size = cfg.ofdm_size;
     ifft.data_bytes = 2 * cfg.ofdm_size * sizeof(cfloat);
-    ifft.impls = api::make_fft_impls(state->grids[p].data(),
-                                     state->result.symbols[p].data(),
-                                     cfg.ofdm_size, /*inverse=*/true);
     CEDR_RETURN_IF_ERROR(app->graph.add_task(std::move(ifft)));
+    impls.push_back(api::make_fft_impls(state->grids[p].data(),
+                                        state->result.symbols[p].data(),
+                                        cfg.ofdm_size, /*inverse=*/true));
     CEDR_RETURN_IF_ERROR(app->graph.add_edge(next_id - 2, next_id - 1));
   }
 
   WifiTxDag dag;
-  dag.descriptor = app;
+  dag.submission = {.descriptor = std::move(app), .impls = std::move(impls)};
   dag.result = [state] { return state->result; };
   return dag;
 }

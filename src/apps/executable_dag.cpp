@@ -1,7 +1,5 @@
 #include "cedr/apps/executable_dag.h"
 
-#include "cedr/apps/dag_template.h"
-
 namespace cedr::apps {
 
 Status BufferPool::add_cfloat(const std::string& name, std::size_t elems) {
@@ -34,31 +32,6 @@ std::vector<cfloat>* BufferPool::cfloat_buffer(const std::string& name) {
 std::vector<float>* BufferPool::float_buffer(const std::string& name) {
   const auto it = floats_.find(name);
   return it == floats_.end() ? nullptr : &it->second;
-}
-
-StatusOr<ExecutableDag> instantiate_dag(const json::Value& doc) {
-  // One-off compile + instantiate (callers that resubmit the same document
-  // should hold a DagTemplate — or go through TemplateCache — instead).
-  auto tmpl = DagTemplate::compile(doc);
-  if (!tmpl.ok()) return tmpl.status();
-  DagTemplate::Instance inst = (*tmpl)->instantiate();
-
-  // Legacy contract: the returned descriptor is private to this instance
-  // and carries the bound implementations inside its tasks, so holding the
-  // descriptor alone (as submit_dag does) keeps the buffers alive.
-  auto app = std::make_shared<task::AppDescriptor>(*inst.descriptor);
-  const auto& tasks = app->graph.tasks();
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    app->graph.get(tasks[i].id).impls = std::move(inst.impls[i]);
-  }
-  return ExecutableDag{.descriptor = std::move(app),
-                       .buffers = std::move(inst.buffers)};
-}
-
-StatusOr<ExecutableDag> load_executable_dag(const std::string& path) {
-  auto doc = json::parse_file(path);
-  if (!doc.ok()) return doc.status();
-  return instantiate_dag(*doc);
 }
 
 }  // namespace cedr::apps

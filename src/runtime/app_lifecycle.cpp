@@ -28,9 +28,7 @@ Status unplaceable(const std::string& task_name, platform::KernelId kernel) {
 
 StatusOr<std::shared_ptr<const DagPlan>> Runtime::Impl::plan_for(
     const std::shared_ptr<const task::AppDescriptor>& app,
-    const platform::PlatformConfig& platform,
-    const std::vector<std::array<task::TaskFn, platform::kNumPeClasses>>&
-        impls) {
+    const platform::PlatformConfig& platform) {
   const task::AppDescriptor* key = app.get();
   {
     std::lock_guard lock(plan_mutex);
@@ -41,9 +39,8 @@ StatusOr<std::shared_ptr<const DagPlan>> Runtime::Impl::plan_for(
     }
   }
 
-  // Miss: validate and precompute outside the lock. This is the work the
-  // legacy path repeated per instance — topological validation, HEFT
-  // upward ranks, in-degree counts — now done once per descriptor.
+  // Miss: validate and precompute outside the lock — topological
+  // validation, HEFT upward ranks, in-degree counts — once per descriptor.
   const auto topo = app->graph.topological_order();
   if (!topo.ok()) return topo.status();
   auto plan = std::make_shared<DagPlan>();
@@ -64,11 +61,6 @@ StatusOr<std::shared_ptr<const DagPlan>> Runtime::Impl::plan_for(
       plan->preds[i].push_back(static_cast<std::uint32_t>(graph.index_of(pred)));
     }
     plan->ranks[i] = rank_map.at(t.id);
-    const auto& task_impls = impls.empty() ? t.impls : impls[i];
-    if (plan->unplaceable_task < 0 &&
-        !policy.placeable(t.kernel, impl_class_mask(task_impls))) {
-      plan->unplaceable_task = static_cast<std::int64_t>(i);
-    }
     for (const task::TaskId succ : graph.successors(t.id)) {
       plan->successors[i].push_back(
           static_cast<std::uint32_t>(graph.index_of(succ)));
@@ -98,17 +90,22 @@ StatusOr<Runtime::Impl::PreparedDag> Runtime::Impl::prepare_dag(
   if (!app) return InvalidArgument("null application descriptor");
   const std::size_t n = app->graph.size();
   if (n == 0) return InvalidArgument("application graph is empty");
-  if (!submission.impls.empty() && submission.impls.size() != n) {
-    return InvalidArgument("impls count does not match the task graph");
+  if (submission.impls.size() != n) {
+    return InvalidArgument("submission needs one impl array per task: got " +
+                           std::to_string(submission.impls.size()) + " for " +
+                           std::to_string(n) + " tasks");
   }
-  auto plan_or = plan_for(app, rt.config_.platform, submission.impls);
+  // Placeability is a property of this instance's implementations, not of
+  // the shared skeleton, so it is checked per submission.
+  for (std::size_t i = 0; i < n; ++i) {
+    const task::Task& t = app->graph.tasks()[i];
+    if (!policy.placeable(t.kernel, impl_class_mask(submission.impls[i]))) {
+      return unplaceable(t.name, t.kernel);
+    }
+  }
+  auto plan_or = plan_for(app, rt.config_.platform);
   if (!plan_or.ok()) return plan_or.status();
   std::shared_ptr<const DagPlan> plan = std::move(*plan_or);
-  if (plan->unplaceable_task >= 0) {
-    const task::Task& t =
-        app->graph.tasks()[static_cast<std::size_t>(plan->unplaceable_task)];
-    return unplaceable(t.name, t.kernel);
-  }
 
   PreparedDag out;
   out.instance = acquire_instance();
@@ -119,16 +116,7 @@ StatusOr<Runtime::Impl::PreparedDag> Runtime::Impl::prepare_dag(
   instance.tasks_remaining = n;
   instance.remaining_preds.assign(plan->pred_counts.begin(),
                                   plan->pred_counts.end());
-  if (!submission.impls.empty()) {
-    instance.impls = std::move(submission.impls);
-  } else {
-    // Legacy descriptor-bound submission: snapshot the implementations so
-    // the release path can move them out uniformly.
-    instance.impls.reserve(n);
-    for (const task::Task& t : instance.dag->graph.tasks()) {
-      instance.impls.push_back(t.impls);
-    }
-  }
+  instance.impls = std::move(submission.impls);
 
   // Head nodes enter the ready queue immediately (paper §II-A). Build them
   // while the instance is still locally owned — after it is published to
@@ -149,11 +137,6 @@ StatusOr<Runtime::Impl::PreparedDag> Runtime::Impl::prepare_dag(
   }
   instance.plan = std::move(plan);
   return out;
-}
-
-StatusOr<std::uint64_t> Runtime::submit_dag(
-    std::shared_ptr<const task::AppDescriptor> app) {
-  return submit_dag(DagSubmission{.descriptor = std::move(app), .impls = {}});
 }
 
 StatusOr<std::uint64_t> Runtime::submit_dag(DagSubmission submission) {

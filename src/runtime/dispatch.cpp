@@ -33,13 +33,17 @@ void Runtime::run_scheduling_round() {
   }
   // Release deferred retries whose backoff has elapsed. The re-push
   // recomputes the effective class mask, so the retry's failed-class
-  // narrowing takes effect on its new shard placement.
+  // narrowing takes effect on its new shard placement. Each re-enqueue
+  // opens a new flow, so the stream gives every attempt its own enqueue.
   sched::PolicyEngine& policy = impl_->policy;
   if (policy.deferred_count() != 0) {
     const double release_now = now();
     policy.release_due(release_now, [&](std::shared_ptr<void> task) {
       auto inflight = std::static_pointer_cast<InFlightTask>(std::move(task));
       inflight->enqueue_time = release_now;
+      tracer_.flow(obs::EventKind::kFlowBegin, obs::Category::kApp,
+                   inflight->name.c_str(), 1 + inflight->app_instance_id, 0,
+                   release_now, inflight->key);
       impl_->push_ready(std::move(inflight));
     });
     impl_->deferred_count.store(policy.deferred_count(),

@@ -243,7 +243,8 @@ bool Runtime::finish_idle_api_apps() {
   //
   // Finished instances are then erased from the map. Completion paths treat
   // a missing id as finished, so the only thing lost is the name — saved
-  // aside for trace export when tracing is on. Without this, every
+  // aside for trace export when tracing is on, until the ring has
+  // overwritten the instance's spans. Without this, every
   // lifecycle scan and the map itself grow with total submissions, which
   // under a daemon taking tens of thousands of submissions per second
   // turns this function into the scheduler's bottleneck within seconds.
@@ -272,7 +273,8 @@ bool Runtime::finish_idle_api_apps() {
       // is released; nothing touches the instance after its thread exited.
       if (app.finished && (app.is_dag || app.thread_reaped)) {
         if (config_.obs.tracing) {
-          impl_->reaped_app_names.emplace_back(it->first, app.name);
+          impl_->reaped_app_names.push_back(
+              {.id = it->first, .name = app.name, .stamp = tracer_.recorded()});
         }
         // Collect under the lock, recycle outside it: pool_mutex is a leaf
         // and must not nest inside app_mutex.
@@ -281,6 +283,13 @@ bool Runtime::finish_idle_api_apps() {
       } else {
         ++it;
       }
+    }
+    // Forget names whose spans the ring has overwritten by now.
+    auto& reaped = impl_->reaped_app_names;
+    const std::uint64_t recorded = tracer_.recorded();
+    while (!reaped.empty() &&
+           recorded - reaped.front().stamp >= tracer_.capacity()) {
+      reaped.pop_front();
     }
   }
   for (std::thread& t : exited) t.join();

@@ -257,19 +257,20 @@ std::vector<obs::TrackName> Runtime::trace_tracks() const {
   {
     std::lock_guard lock(impl_->app_mutex);
     // Live instances plus names saved when finished instances were reaped
-    // (kept only while tracing), so every pid in the span stream is named.
-    // Names are never forgotten while tracing, so each snapshot of this
-    // table is a superset of earlier ones — the property the .cbt stitcher
-    // relies on when unioning per-segment track tables.
+    // (kept only while tracing), so every pid still in the span ring is
+    // named. A reaped name is dropped once the ring has recorded a full
+    // capacity since the reap, when none of that instance's spans remain;
+    // the .cbt stitcher unions per-segment tables, so the segments written
+    // while its spans were in the ring keep the name.
     for (const auto& [id, app] : impl_->apps) {
       tracks.push_back({.pid = 1 + id,
                         .is_process = true,
                         .name = app->name + " #" + std::to_string(id)});
     }
-    for (const auto& [id, name] : impl_->reaped_app_names) {
-      tracks.push_back({.pid = 1 + id,
+    for (const Impl::ReapedName& reaped : impl_->reaped_app_names) {
+      tracks.push_back({.pid = 1 + reaped.id,
                         .is_process = true,
-                        .name = name + " #" + std::to_string(id)});
+                        .name = reaped.name + " #" + std::to_string(reaped.id)});
     }
   }
   return tracks;

@@ -148,11 +148,6 @@ struct DagPlan {
   /// to decide whether a successor's uncompleted predecessors are all
   /// inside the window (docs/scheduling.md "Lookahead rounds").
   std::vector<std::vector<std::uint32_t>> preds;
-  /// Storage index of the first task no PE on the platform can run (its
-  /// kernel and implementation classes meet no present PE class), or -1.
-  /// prepare_dag rejects submissions of such a plan: no round could ever
-  /// place the task.
-  std::int64_t unplaceable_task = -1;
 };
 
 /// A task in flight through the runtime (one DAG node or one API call).
@@ -194,9 +189,8 @@ struct Runtime::AppInstance {
   std::shared_ptr<const task::AppDescriptor> dag;
   std::shared_ptr<const DagPlan> plan;
   std::vector<std::uint32_t> remaining_preds;
-  /// Per-task implementation arrays, moved one by one into InFlightTasks as
-  /// nodes become ready; for legacy descriptor-bound submissions these are
-  /// copies of Task::impls made at prepare time.
+  /// Per-task implementation arrays (the submission's), moved one by one
+  /// into InFlightTasks as nodes become ready.
   std::vector<std::array<task::TaskFn, platform::kNumPeClasses>> impls;
   std::size_t tasks_remaining = 0;
 
@@ -301,12 +295,22 @@ struct Runtime::Impl {
   bool started = false;                 ///< app_mutex
   bool accepting = false;               ///< app_mutex
   std::unordered_map<std::uint64_t, std::unique_ptr<AppInstance>> apps;
-  /// (id, name) of reaped instances, kept only while tracing so Chrome
-  /// trace export can still name their pid tracks; empty in perf mode.
+  /// A reaped instance's name, kept for trace export while its spans can
+  /// still be in the ring. `stamp` is tracer.recorded() at the reap.
+  struct ReapedName {
+    std::uint64_t id = 0;
+    std::string name;
+    std::uint64_t stamp = 0;
+  };
+  /// Names of reaped instances, oldest first, kept only while tracing so
+  /// trace export can still name their pid tracks; empty in perf mode. A
+  /// name is dropped once the ring has recorded a full capacity of events
+  /// since its stamp: every span of that instance has been overwritten by
+  /// then, so the table stays bounded by the ring, not by total submissions.
   /// `apps` itself holds live instances only — finished apps are erased by
   /// the reaper so lifecycle scans and daemon memory stay bounded by the
   /// in-flight population, not by total submissions since start.
-  std::vector<std::pair<std::uint64_t, std::string>> reaped_app_names;
+  std::deque<ReapedName> reaped_app_names;
   std::uint64_t next_instance_id = 1;  ///< app_mutex
   double runtime_overhead = 0.0;       ///< app_mutex
 
@@ -347,17 +351,10 @@ struct Runtime::Impl {
       plan_index;
 
   /// Cached plan for `app`, building one (topological validation + HEFT
-  /// ranks + index tables + placeability) on a miss. Misses compute outside
-  /// the lock. `impls`, when non-empty, are the submission's per-task
-  /// arrays: instances of one skeleton descriptor bind the same
-  /// implementation classes (a DagTemplate binds them per kernel and size),
-  /// so the miss reads placeability from them instead of the impl-less
-  /// skeleton.
+  /// ranks + index tables) on a miss. Misses compute outside the lock.
   StatusOr<std::shared_ptr<const DagPlan>> plan_for(
       const std::shared_ptr<const task::AppDescriptor>& app,
-      const platform::PlatformConfig& platform,
-      const std::vector<std::array<task::TaskFn, platform::kNumPeClasses>>&
-          impls);
+      const platform::PlatformConfig& platform);
 
   // --- Leaf: recycled AppInstance freelist. --------------------------------
   // Finished instances are reset and parked here instead of freed, so a

@@ -347,10 +347,16 @@ class Engine {
     }
     // Deferred retries whose backoff has elapsed re-enter the ready queue.
     // The re-push recomputes the effective class mask, so the retry's
-    // failed-class narrowing takes effect on its new shard placement.
+    // failed-class narrowing takes effect on its new shard placement. As in
+    // the runtime, each re-enqueue opens a new flow.
     policy_.release_due(now_, [this](std::shared_ptr<void> payload) {
       auto task = std::static_pointer_cast<SimTask>(std::move(payload));
       task->ready_time = now_;
+      if (tr() != nullptr) {
+        tr()->flow(obs::EventKind::kFlowBegin, obs::Category::kApp,
+                   platform::kernel_name(task->kernel).data(),
+                   1 + task->instance, 0, now_, task->key);
+      }
       push_ready(std::move(task));
     });
     // A quarantined PE whose probe window just opened makes queued work

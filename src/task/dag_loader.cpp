@@ -52,32 +52,4 @@ StatusOr<AppDescriptor> app_from_json(const json::Value& doc) {
   return app;
 }
 
-StatusOr<AppDescriptor> load_app(const std::string& path) {
-  auto doc = json::parse_file(path);
-  if (!doc.ok()) return doc.status();
-  return app_from_json(*doc);
-}
-
-json::Value app_to_json(const AppDescriptor& app) {
-  json::Array rows;
-  for (const Task& t : app.graph.tasks()) {
-    json::Array preds;
-    for (const TaskId p : app.graph.predecessors(t.id)) {
-      preds.push_back(json::Value(p));
-    }
-    rows.push_back(json::Object{
-        {"id", json::Value(t.id)},
-        {"name", json::Value(t.name)},
-        {"kernel", json::Value(platform::kernel_name(t.kernel))},
-        {"size", json::Value(t.problem_size)},
-        {"bytes", json::Value(t.data_bytes)},
-        {"predecessors", json::Value(std::move(preds))},
-    });
-  }
-  return json::Object{
-      {"app_name", json::Value(app.name)},
-      {"tasks", json::Value(std::move(rows))},
-  };
-}
-
 }  // namespace cedr::task

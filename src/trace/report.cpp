@@ -68,12 +68,14 @@ std::vector<TaskExecution> task_executions(
     std::uint64_t app = 0;
     double ts = 0.0;
   };
-  std::unordered_map<std::uint64_t, Enqueue> enqueues;  // flow id -> begin
+  // Flow id -> its latest begin: a retry re-enters the queue with a new
+  // begin, so each attempt joins the enqueue that preceded it.
+  std::unordered_map<std::uint64_t, Enqueue> enqueues;
   std::unordered_map<std::uint64_t, std::uint64_t> executing;  // tid -> flow
   std::vector<TaskExecution> out;
   for (const obs::SpanEvent& e : events) {
     if (e.kind == obs::EventKind::kFlowBegin && e.pid > 0) {
-      enqueues.try_emplace(e.flow_id, Enqueue{e.pid - 1, e.ts});
+      enqueues[e.flow_id] = Enqueue{e.pid - 1, e.ts};
     } else if (e.kind == obs::EventKind::kFlowEnd && e.tid > 0) {
       executing[e.tid] = e.flow_id;
     } else if (is_worker_span(e) && e.arg0_name != nullptr) {
@@ -158,7 +160,6 @@ Report summarize(const std::vector<obs::SpanEvent>& events,
   const std::map<std::uint64_t, std::string> names = pe_names(tasks, tracks);
   std::map<std::uint64_t, Report::PeSummary> pes;
   for (const auto& [tid, name] : names) pes[tid].name = name;
-  std::size_t first_attempts = 0;
   double delay_total = 0.0;
   double service_total = 0.0;
   obs::QuantileHistogram delay_hist;
@@ -172,23 +173,17 @@ Report summarize(const std::vector<obs::SpanEvent>& events,
     service_hist.record(task.service_time() * 1e6);
     ++app_tasks[task.app_instance_id];
     if (!task.ok) ++report.failed_attempts;
-    if (task.attempt > 0) {
-      ++report.retried_attempts;
-      continue;  // a retry's enqueue is not in the stream
-    }
-    ++first_attempts;
+    if (task.attempt > 0) ++report.retried_attempts;
     delay_total += task.queue_delay();
     delay_hist.record(task.queue_delay() * 1e6);
     report.queue_delay_max =
         std::max(report.queue_delay_max, task.queue_delay());
   }
-  if (first_attempts != 0) {
-    report.queue_delay_mean = delay_total / static_cast<double>(first_attempts);
+  if (!tasks.empty()) {
+    report.queue_delay_mean = delay_total / static_cast<double>(tasks.size());
     report.queue_delay_p50 = delay_hist.quantile(0.50) / 1e6;
     report.queue_delay_p95 = delay_hist.quantile(0.95) / 1e6;
     report.queue_delay_p99 = delay_hist.quantile(0.99) / 1e6;
-  }
-  if (!tasks.empty()) {
     report.service_time_mean =
         service_total / static_cast<double>(tasks.size());
     report.service_time_p50 = service_hist.quantile(0.50) / 1e6;

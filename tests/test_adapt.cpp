@@ -2,7 +2,9 @@
 // recursive-least-squares coefficient recovery, exponential-decay tracking
 // of drifting device latency, outlier rejection under fault injection,
 // lock-free snapshot publication, determinism, and the end-to-end wiring
-// through the discrete-event emulator and the threaded runtime.
+// through the discrete-event emulator and the threaded runtime. Also the
+// offline half of the loop: cost tables fitted from recorded execute spans
+// (platform::profile_costs).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +18,7 @@
 #include "cedr/adapt/fit.h"
 #include "cedr/adapt/online_estimator.h"
 #include "cedr/cedr.h"
+#include "cedr/platform/profiling.h"
 #include "cedr/runtime/runtime.h"
 #include "cedr/sim/model.h"
 #include "cedr/sim/simulator.h"
@@ -568,3 +571,99 @@ TEST(AdaptRuntimeTest, ConfigRoundTripsThroughRuntimeJson) {
 
 }  // namespace
 }  // namespace cedr::adapt
+
+namespace cedr {
+namespace {
+
+// ---- Profiling-driven cost tables -------------------------------------------
+
+TEST(Profiling, FitsTablesFromRuntimeTrace) {
+  rt::RuntimeConfig config;
+  config.platform = platform::host(2);
+  rt::Runtime runtime(config);
+  ASSERT_TRUE(runtime.start().ok());
+  auto instance = runtime.submit_api("calibration", [] {
+    for (int round = 0; round < 5; ++round) {
+      for (const std::size_t n : {128u, 512u, 2048u}) {
+        std::vector<cedr_cplx> buf(n);
+        (void)CEDR_FFT(buf.data(), buf.data(), n);
+      }
+    }
+  });
+  ASSERT_TRUE(instance.ok());
+  ASSERT_TRUE(runtime.wait_all(30.0).ok());
+  EXPECT_TRUE(runtime.shutdown().ok());
+
+  ASSERT_EQ(runtime.tracer().dropped(), 0u);
+  auto profiled =
+      platform::profile_costs(runtime.tracer().snapshot(), config.platform);
+  ASSERT_TRUE(profiled.ok());
+  EXPECT_EQ(profiled->tasks_used, 15u);
+  ASSERT_GE(profiled->entries.size(), 1u);
+  const auto& entry = profiled->entries[0];
+  EXPECT_EQ(entry.kernel, platform::KernelId::kFft);
+  EXPECT_EQ(entry.cls, platform::PeClass::kCpu);
+  EXPECT_EQ(entry.samples, 15u);
+  EXPECT_GT(entry.mean_service_s, 0.0);
+  // Fitted estimates are sane: positive and increasing in size.
+  const double small = profiled->costs.estimate(
+      platform::KernelId::kFft, platform::PeClass::kCpu, 128, 0);
+  const double large = profiled->costs.estimate(
+      platform::KernelId::kFft, platform::PeClass::kCpu, 2048, 0);
+  EXPECT_GT(small, 0.0);
+  EXPECT_GE(large, small);
+  // Unprofiled pairings keep their preset coefficients.
+  EXPECT_DOUBLE_EQ(profiled->costs.estimate(platform::KernelId::kMmult,
+                                            platform::PeClass::kCpu, 64, 0),
+                   config.platform.costs.estimate(platform::KernelId::kMmult,
+                                                  platform::PeClass::kCpu, 64,
+                                                  0));
+}
+
+/// A worker execute span for `kernel` at `size` on PE `pe_index`.
+void record_execution(obs::SpanTracer& tracer, const char* kernel,
+                      std::size_t size, std::size_t pe_index, double start,
+                      double end) {
+  tracer.complete_span(obs::Category::kWorker, kernel, 0, 1 + pe_index, start,
+                       end - start, kernel, static_cast<double>(size),
+                       obs::kAttemptArg, 0.0);
+}
+
+TEST(Profiling, SyntheticAffineRecovery) {
+  // Exact affine service times must be recovered (within fp noise).
+  obs::SpanTracer tracer(64);
+  const double fixed = 5e-6;
+  const double per_point = 2e-8;
+  double t = 0.0;
+  for (const std::size_t n : {100u, 200u, 400u, 800u}) {
+    for (int rep = 0; rep < 2; ++rep) {
+      const double service = fixed + per_point * static_cast<double>(n);
+      record_execution(tracer, "ZIP", n, /*cpu0*/ 0, t, t + service);
+      t += service;
+    }
+  }
+  ASSERT_EQ(tracer.dropped(), 0u);
+  const auto platform = platform::host(1);
+  auto profiled = platform::profile_costs(tracer.snapshot(), platform);
+  ASSERT_TRUE(profiled.ok());
+  ASSERT_EQ(profiled->entries.size(), 1u);
+  EXPECT_NEAR(profiled->entries[0].fitted.fixed_s, fixed, 1e-9);
+  EXPECT_NEAR(profiled->entries[0].fitted.per_point_s, per_point, 1e-12);
+}
+
+TEST(Profiling, SkipsUnknownRecordsAndValidates) {
+  obs::SpanTracer tracer(64);
+  record_execution(tracer, "NOPE", 0, /*cpu0*/ 0, 0, 1);
+  record_execution(tracer, "FFT", 0, /*a PE host(1) lacks*/ 9, 0, 1);
+  ASSERT_EQ(tracer.dropped(), 0u);
+  const auto platform = platform::host(1);
+  EXPECT_EQ(platform::profile_costs(tracer.snapshot(), platform)
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);  // nothing usable
+
+  EXPECT_FALSE(platform::profile_costs({}, platform).ok());
+}
+
+}  // namespace
+}  // namespace cedr

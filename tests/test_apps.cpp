@@ -168,14 +168,14 @@ TEST(DagApps, PulseDopplerDagMatchesApiResult) {
   ASSERT_TRUE(dag.ok());
   // chirp_fft + 3 per pulse + corner turn + one Doppler FFT per range bin
   // + peak search.
-  EXPECT_EQ(dag->descriptor->graph.size(),
+  EXPECT_EQ(dag->submission.descriptor->graph.size(),
             3 + 3 * config.params.num_pulses + config.params.samples_per_pulse);
 
   rt::RuntimeConfig rt_config;
   rt_config.platform = platform::host(2, 1);
   rt::Runtime runtime(rt_config);
   ASSERT_TRUE(runtime.start().ok());
-  auto instance = runtime.submit_dag(dag->descriptor);
+  auto instance = runtime.submit_dag(std::move(dag->submission));
   ASSERT_TRUE(instance.ok());
   ASSERT_TRUE(runtime.wait_all(60.0).ok());
   EXPECT_TRUE(runtime.shutdown().ok());
@@ -191,13 +191,14 @@ TEST(DagApps, WifiTxDagProducesDecodablePackets) {
   const WifiTxConfig config = small_tx(false);
   auto dag = make_wifi_tx_dag(config);
   ASSERT_TRUE(dag.ok());
-  EXPECT_EQ(dag->descriptor->graph.size(), 2 * config.num_packets);
+  EXPECT_EQ(dag->submission.descriptor->graph.size(),
+            2 * config.num_packets);
 
   rt::RuntimeConfig rt_config;
   rt_config.platform = platform::host(2, 1);
   rt::Runtime runtime(rt_config);
   ASSERT_TRUE(runtime.start().ok());
-  ASSERT_TRUE(runtime.submit_dag(dag->descriptor).ok());
+  ASSERT_TRUE(runtime.submit_dag(std::move(dag->submission)).ok());
   ASSERT_TRUE(runtime.wait_all(60.0).ok());
   EXPECT_TRUE(runtime.shutdown().ok());
 

@@ -1,7 +1,7 @@
-// Tests for compiled DAG templates and the content-hash template cache
-// (apps/dag_template.h), plus the fast-path submission plumbing they feed:
-// batched DagSubmission and slab-recycled app instances
-// (docs/runtime_lifecycle.md).
+// Tests for executable JSON DAGs: compiled templates, their buffer pools and
+// the content-hash template cache (apps/dag_template.h), plus the
+// submission plumbing they feed: DagSubmission validation, batched
+// submission and slab-recycled app instances (docs/runtime_lifecycle.md).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -248,23 +248,184 @@ TEST(DagSubmission, RecycledInstancesNeverResurrectStaleState) {
   EXPECT_EQ(runtime.stats().tasks_executed, kWaves * kPerWave * 4);
 }
 
-TEST(DagSubmission, LegacyDescriptorPathStillWorks) {
-  // submit_dag(shared_ptr) — the pre-template contract where impls ride on
-  // the descriptor itself — must keep working for instantiate_dag users.
+TEST(DagSubmission, RejectsMissingOrMisSizedImpls) {
+  // A submission carries exactly one impl array per task; anything else is
+  // refused on both entry points, and a batch refuses only the bad ones.
   auto doc = json::parse(kFilterDag);
   ASSERT_TRUE(doc.ok());
-  auto dag = apps::instantiate_dag(*doc);
-  ASSERT_TRUE(dag.ok());
-  auto* mask = dag->buffers->cfloat_buffer("mask");
-  for (auto& v : *mask) v = cedr_cplx(1.0f, 0.0f);
+  auto tmpl = apps::DagTemplate::compile(*doc);
+  ASSERT_TRUE(tmpl.ok());
+  apps::DagTemplate::Instance inst = (*tmpl)->instantiate();
+  const auto with_impls = [&](std::size_t count) {
+    std::vector<api::ImplArray> impls(inst.impls.begin(), inst.impls.end());
+    impls.resize(count);
+    return rt::DagSubmission{.descriptor = inst.descriptor,
+                             .impls = std::move(impls)};
+  };
+  const std::size_t n = inst.impls.size();
+
+  rt::RuntimeConfig config;
+  config.platform = platform::host(2, 1);
+  rt::Runtime runtime(config);
+  ASSERT_TRUE(runtime.start().ok());
+  EXPECT_EQ(runtime.submit_dag(with_impls(0)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(runtime.submit_dag(with_impls(n - 1)).status().code(),
+            StatusCode::kInvalidArgument);
+
+  std::vector<rt::DagSubmission> batch;
+  batch.push_back(with_impls(0));
+  batch.push_back(with_impls(n + 1));
+  batch.push_back(with_impls(n));
+  const auto results = runtime.submit_dag_batch(std::move(batch));
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[0].status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(results[1].status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(results[2].ok()) << results[2].status().to_string();
+  ASSERT_TRUE(runtime.wait_all(30.0).ok());
+  EXPECT_TRUE(runtime.shutdown().ok());
+  EXPECT_EQ(runtime.completed_apps(), 1u);
+  EXPECT_EQ(runtime.stats().tasks_executed, n);
+}
+
+TEST(BufferPool, NamedTypedBuffers) {
+  apps::BufferPool pool;
+  ASSERT_TRUE(pool.add_cfloat("a", 16).ok());
+  ASSERT_TRUE(pool.add_float("b", 8).ok());
+  EXPECT_EQ(pool.size(), 2u);
+  ASSERT_NE(pool.cfloat_buffer("a"), nullptr);
+  EXPECT_EQ(pool.cfloat_buffer("a")->size(), 16u);
+  EXPECT_EQ(pool.cfloat_buffer("b"), nullptr);  // wrong kind
+  EXPECT_NE(pool.float_buffer("b"), nullptr);
+  EXPECT_EQ(pool.float_buffer("missing"), nullptr);
+  EXPECT_EQ(pool.add_cfloat("a", 4).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(pool.add_float("a", 4).code(), StatusCode::kAlreadyExists);
+  EXPECT_FALSE(pool.add_cfloat("", 4).ok());
+  EXPECT_FALSE(pool.add_cfloat("zero", 0).ok());
+}
+
+TEST(DagTemplate, BuffersOutliveTheInstance) {
+  // Only the submission is retained: the template, the Instance and its
+  // pool handle are gone before the runtime runs the tasks, whose impls
+  // must keep the pool alive through their captured shared_ptr.
+  rt::DagSubmission submission;
+  {
+    auto doc = json::parse(kFilterDag);
+    auto tmpl = apps::DagTemplate::compile(*doc);
+    ASSERT_TRUE(tmpl.ok());
+    apps::DagTemplate::Instance inst = (*tmpl)->instantiate();
+    (*inst.buffers->cfloat_buffer("signal"))[0] = cedr_cplx(2.0f, 0.0f);
+    for (auto& v : *inst.buffers->cfloat_buffer("mask")) {
+      v = cedr_cplx(1.0f, 0.0f);
+    }
+    submission = {.descriptor = inst.descriptor,
+                  .impls = std::move(inst.impls)};
+  }
   rt::RuntimeConfig config;
   config.platform = platform::host(1);
   rt::Runtime runtime(config);
   ASSERT_TRUE(runtime.start().ok());
-  ASSERT_TRUE(runtime.submit_dag(dag->descriptor).ok());
-  ASSERT_TRUE(runtime.wait_all(30.0).ok());
+  ASSERT_TRUE(runtime.submit_dag(std::move(submission)).ok());
+  EXPECT_TRUE(runtime.wait_all(30.0).ok());
   EXPECT_TRUE(runtime.shutdown().ok());
   EXPECT_EQ(runtime.stats().tasks_executed, 4u);
+}
+
+struct BadDagCase {
+  const char* name;
+  const char* text;
+};
+
+// Print a case as its name, so the test names that gtest lists and ctest
+// registers do not embed the addresses of the string literals.
+void PrintTo(const BadDagCase& c, std::ostream* os) { *os << c.name; }
+
+class DagTemplateErrors : public ::testing::TestWithParam<BadDagCase> {};
+
+TEST_P(DagTemplateErrors, Rejected) {
+  auto doc = json::parse(GetParam().text);
+  ASSERT_TRUE(doc.ok()) << "fixture must be valid JSON";
+  EXPECT_FALSE(apps::DagTemplate::compile(*doc).ok()) << GetParam().name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Malformed, DagTemplateErrors,
+    ::testing::Values(
+        BadDagCase{"missing_buffer",
+                   R"({"app_name":"x","tasks":[{"id":0,"kernel":"FFT",
+                       "args":{"in":"nope","out":"nope"}}]})"},
+        BadDagCase{"missing_arg",
+                   R"({"app_name":"x",
+                       "buffers":{"a":{"elems":64,"kind":"cfloat"}},
+                       "tasks":[{"id":0,"kernel":"FFT","args":{"in":"a"}}]})"},
+        BadDagCase{"non_pow2_fft",
+                   R"({"app_name":"x",
+                       "buffers":{"a":{"elems":100,"kind":"cfloat"}},
+                       "tasks":[{"id":0,"kernel":"FFT",
+                                 "args":{"in":"a","out":"a"}}]})"},
+        BadDagCase{"zip_size_mismatch",
+                   R"({"app_name":"x",
+                       "buffers":{"a":{"elems":64,"kind":"cfloat"},
+                                  "b":{"elems":32,"kind":"cfloat"}},
+                       "tasks":[{"id":0,"kernel":"ZIP",
+                                 "args":{"a":"a","b":"b","out":"a"}}]})"},
+        BadDagCase{"zip_bad_op",
+                   R"({"app_name":"x",
+                       "buffers":{"a":{"elems":64,"kind":"cfloat"}},
+                       "tasks":[{"id":0,"kernel":"ZIP",
+                                 "args":{"a":"a","b":"a","out":"a",
+                                         "op":9}}]})"},
+        BadDagCase{"mmult_missing_dims",
+                   R"({"app_name":"x",
+                       "buffers":{"m":{"elems":4,"kind":"float"}},
+                       "tasks":[{"id":0,"kernel":"MMULT",
+                                 "args":{"a":"m","b":"m","c":"m"}}]})"},
+        BadDagCase{"wrong_buffer_kind",
+                   R"({"app_name":"x",
+                       "buffers":{"a":{"elems":64,"kind":"float"}},
+                       "tasks":[{"id":0,"kernel":"FFT",
+                                 "args":{"in":"a","out":"a"}}]})"},
+        BadDagCase{"unknown_kind",
+                   R"({"app_name":"x",
+                       "buffers":{"a":{"elems":64,"kind":"double"}},
+                       "tasks":[]})"}),
+    [](const auto& info) { return info.param.name; });
+
+TEST(DagTemplate, MmultBindingComputesProduct) {
+  constexpr const char* kDag = R"({
+    "app_name": "gemm",
+    "buffers": {
+      "a": {"elems": 4, "kind": "float"},
+      "b": {"elems": 4, "kind": "float"},
+      "c": {"elems": 4, "kind": "float"}
+    },
+    "tasks": [
+      {"id": 0, "kernel": "MMULT",
+       "args": {"a": "a", "b": "b", "c": "c", "m": 2, "k": 2, "n": 2}}
+    ]
+  })";
+  auto doc = json::parse(kDag);
+  auto tmpl = apps::DagTemplate::compile(*doc);
+  ASSERT_TRUE(tmpl.ok()) << tmpl.status().to_string();
+  apps::DagTemplate::Instance inst = (*tmpl)->instantiate();
+  *inst.buffers->float_buffer("a") = {1, 2, 3, 4};
+  *inst.buffers->float_buffer("b") = {5, 6, 7, 8};
+  rt::RuntimeConfig config;
+  config.platform = platform::host(1, 0, 1);
+  rt::Runtime runtime(config);
+  ASSERT_TRUE(runtime.start().ok());
+  ASSERT_TRUE(runtime
+                  .submit_dag(rt::DagSubmission{
+                      .descriptor = inst.descriptor,
+                      .impls = std::move(inst.impls)})
+                  .ok());
+  ASSERT_TRUE(runtime.wait_all(30.0).ok());
+  EXPECT_TRUE(runtime.shutdown().ok());
+  const auto& c = *inst.buffers->float_buffer("c");
+  EXPECT_FLOAT_EQ(c[0], 19);
+  EXPECT_FLOAT_EQ(c[1], 22);
+  EXPECT_FLOAT_EQ(c[2], 43);
+  EXPECT_FLOAT_EQ(c[3], 50);
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 
 #include <chrono>
 #include <cmath>
+#include <map>
 #include <thread>
 #include <vector>
 
+#include "cedr/api/impls.h"
 #include "cedr/cedr.h"
 #include "cedr/platform/fault.h"
 #include "cedr/runtime/runtime.h"
@@ -175,11 +177,21 @@ TEST(RuntimeFaults, RetryLandsOnAlternatePeType) {
   ASSERT_EQ(runtime.tracer().dropped(), 0u);
   bool saw_failed_on_fft = false;
   bool saw_recovery_elsewhere = false;
+  std::map<std::uint64_t, double> failed_end;  // task key -> failed attempt
   for (const auto& task :
        trace::task_executions(runtime.tracer().snapshot())) {
     const std::string& pe = config.platform.pes[task.pe_index].name;
-    if (!task.ok) saw_failed_on_fft |= pe == "fft0";
-    if (task.ok && task.attempt > 0) saw_recovery_elsewhere |= pe != "fft0";
+    if (!task.ok) {
+      saw_failed_on_fft |= pe == "fft0";
+      failed_end[task.task_key] = task.end_time;
+    }
+    if (task.ok && task.attempt > 0) {
+      saw_recovery_elsewhere |= pe != "fft0";
+      // The retry re-entered the queue after its failed attempt ended, so
+      // its queue delay counts from there, not from the first enqueue.
+      ASSERT_EQ(failed_end.count(task.task_key), 1u);
+      EXPECT_GE(task.enqueue_time, failed_end[task.task_key]);
+    }
   }
   EXPECT_TRUE(saw_failed_on_fft);
   EXPECT_TRUE(saw_recovery_elsewhere);
@@ -395,7 +407,11 @@ TEST(RuntimeFaults, LookaheadReservationsGoStaleUnderQuarantine) {
 
   constexpr std::uint64_t kInstances = 40;
   for (std::uint64_t i = 0; i < kInstances; ++i) {
-    ASSERT_TRUE(runtime.submit_dag(app).ok());
+    ASSERT_TRUE(runtime
+                    .submit_dag(rt::DagSubmission{
+                        .descriptor = app,
+                        .impls = std::vector<api::ImplArray>(app->graph.size())})
+                    .ok());
   }
   ASSERT_TRUE(runtime.wait_all(60.0).ok());
   EXPECT_TRUE(runtime.shutdown().ok());
@@ -433,6 +449,26 @@ TEST(SimFaults, DeterministicAndLossless) {
   EXPECT_EQ(first->tasks_retried, second->tasks_retried);
   EXPECT_EQ(first->pes_quarantined, second->pes_quarantined);
   EXPECT_DOUBLE_EQ(first->makespan, second->makespan);
+
+  // Traced, the same run gives every retry its own enqueue: the re-enqueue
+  // after the previous attempt of the same task ended.
+  obs::SpanTracer tracer(1u << 16);
+  config.tracer = &tracer;
+  auto traced = sim::simulate(config, arrivals);
+  ASSERT_TRUE(traced.ok());
+  EXPECT_DOUBLE_EQ(traced->makespan, first->makespan);
+  ASSERT_EQ(tracer.dropped(), 0u);
+  std::map<std::uint64_t, double> last_end;  // task key -> previous attempt
+  std::size_t retries = 0;
+  for (const auto& task : trace::task_executions(tracer.snapshot())) {
+    if (task.attempt > 0) {
+      ++retries;
+      ASSERT_EQ(last_end.count(task.task_key), 1u);
+      EXPECT_GE(task.enqueue_time, last_end[task.task_key]);
+    }
+    last_end[task.task_key] = task.end_time;
+  }
+  EXPECT_EQ(retries, first->tasks_retried);
 }
 
 // Regression: at high fault rates every PE cycles through quarantine and the

@@ -175,6 +175,47 @@ TEST(Ipc, SubmitSharedObjectEndToEnd) {
   EXPECT_EQ(report.apps[0].name, "ipc_pd");
 }
 
+TEST(Ipc, SubmitDagLoadsDocumentFromDisk) {
+  // SUBMITDAG names an executable JSON DAG on disk; the daemon reads and
+  // compiles it and runs one instance of its four tasks.
+  const std::string path = ::testing::TempDir() + "/cedr_exec_dag.json";
+  {
+    auto doc = json::parse(R"({
+      "app_name": "fd_filter",
+      "buffers": {
+        "signal":   {"elems": 256, "kind": "cfloat"},
+        "mask":     {"elems": 256, "kind": "cfloat"},
+        "filtered": {"elems": 256, "kind": "cfloat"}
+      },
+      "tasks": [
+        {"id": 0, "kernel": "FFT", "args": {"in": "signal", "out": "signal"}},
+        {"id": 1, "kernel": "ZIP", "predecessors": [0],
+         "args": {"a": "signal", "b": "mask", "out": "filtered", "op": 0}},
+        {"id": 2, "kernel": "IFFT", "predecessors": [1],
+         "args": {"in": "filtered", "out": "filtered"}},
+        {"id": 3, "kernel": "GENERIC", "predecessors": [2],
+         "args": {"work_ns": 5000}}
+      ]
+    })");
+    ASSERT_TRUE(doc.ok());
+    ASSERT_TRUE(json::write_file(path, *doc).ok());
+  }
+  rt::RuntimeConfig config;
+  config.platform = platform::host(2, 1);
+  rt::Runtime runtime(config);
+  ASSERT_TRUE(runtime.start().ok());
+  IpcServer server(runtime, temp_socket("dag"));
+  ASSERT_TRUE(server.start().ok());
+  IpcClient client(server.socket_path());
+  auto instance = client.submit_dag(path);
+  ASSERT_TRUE(instance.ok()) << instance.status().to_string();
+  ASSERT_TRUE(client.wait_all().ok());
+  EXPECT_FALSE(client.submit_dag("/nonexistent.json").ok());
+  server.stop();
+  EXPECT_TRUE(runtime.shutdown().ok());
+  EXPECT_EQ(runtime.stats().tasks_executed, 4u);
+}
+
 TEST(Ipc, ClientFailsCleanlyWithoutServer) {
   IpcClient client(temp_socket("nobody_listening"));
   EXPECT_EQ(client.status().status().code(), StatusCode::kUnavailable);

@@ -35,17 +35,19 @@ TEST_P(RandomDagProperty, RuntimeRespectsAllDependencies) {
   auto completion_order = std::make_shared<std::vector<task::TaskId>>();
   auto order_mutex = std::make_shared<std::mutex>();
   std::vector<std::pair<task::TaskId, task::TaskId>> edges;
+  std::vector<api::ImplArray> impls;
   for (task::TaskId id = 0; id < node_count; ++id) {
     task::Task t;
     t.id = id;
     t.name = "n" + std::to_string(id);
     t.kernel = platform::KernelId::kGeneric;
     t.problem_size = 500 + rng.next_below(2000);
-    t.impls = api::make_generic_impls([completion_order, order_mutex, id] {
-      std::lock_guard lock(*order_mutex);
-      completion_order->push_back(id);
-    });
     ASSERT_TRUE(app->graph.add_task(std::move(t)).ok());
+    impls.push_back(
+        api::make_generic_impls([completion_order, order_mutex, id] {
+          std::lock_guard lock(*order_mutex);
+          completion_order->push_back(id);
+        }));
     if (id > 0) {
       const std::size_t preds = rng.next_below(std::min<std::uint64_t>(id, 3)) +
                                 (rng.next_below(2) == 0 ? 1 : 0);
@@ -61,7 +63,10 @@ TEST_P(RandomDagProperty, RuntimeRespectsAllDependencies) {
   config.scheduler = GetParam() % 2 == 0 ? "EFT" : "HEFT_RT";
   rt::Runtime runtime(config);
   ASSERT_TRUE(runtime.start().ok());
-  ASSERT_TRUE(runtime.submit_dag(app).ok());
+  ASSERT_TRUE(runtime
+                  .submit_dag(rt::DagSubmission{.descriptor = app,
+                                                .impls = std::move(impls)})
+                  .ok());
   ASSERT_TRUE(runtime.wait_all(60.0).ok());
   EXPECT_TRUE(runtime.shutdown().ok());
 

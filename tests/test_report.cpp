@@ -14,16 +14,15 @@ namespace {
 using obs::Category;
 using obs::EventKind;
 
-/// One executed attempt as the worker records it: the enqueue flow on the
-/// app's pid, then the flow end and the execute span on the PE track.
+/// One executed attempt as the runtime records it: the enqueue flow on the
+/// app's pid (a retry's re-enqueue opens a new one under the same key), then
+/// the flow end and the execute span on the PE track.
 void record_task(obs::SpanTracer& tracer, std::uint64_t app, std::uint64_t key,
                  const char* kernel, std::size_t size, std::uint64_t pe,
                  double enqueue, double start, double end,
                  std::uint32_t attempt = 0, bool ok = true) {
-  if (attempt == 0) {
-    tracer.flow(EventKind::kFlowBegin, Category::kApp, kernel, 1 + app, 0,
-                enqueue, key);
-  }
+  tracer.flow(EventKind::kFlowBegin, Category::kApp, kernel, 1 + app, 0,
+              enqueue, key);
   tracer.flow(EventKind::kFlowEnd, Category::kWorker, "execute", 0, 1 + pe,
               start, key);
   tracer.complete_span(Category::kWorker, kernel, 0, 1 + pe, start,
@@ -112,11 +111,12 @@ TEST(Report, DecodesTaskExecutions) {
 TEST(Report, FaultViewFromSpanStream) {
   obs::SpanTracer tracer(64);
   record_app(tracer, 1, 0.0, 0.5);
-  // Task 7 fails on fft0, then recovers on cpu0; task 8 fails for good.
+  // Task 7 fails on fft0, is re-enqueued after its backoff at 70 ms and
+  // recovers on cpu0; task 8 fails for good.
   record_task(tracer, 1, 7, "FFT", 64, 1, 0.0, 0.01, 0.02, 0, false);
   tracer.instant(Category::kFault, "pe_quarantined", 0, 2, 0.02,
                  "consecutive_faults", 3.0);
-  record_task(tracer, 1, 7, "FFT", 64, 0, 0.0, 0.10, 0.12, 1, true);
+  record_task(tracer, 1, 7, "FFT", 64, 0, 0.07, 0.10, 0.12, 1, true);
   tracer.instant(Category::kFault, "task_recovered", 0, 1, 0.12, "latency_s",
                  0.12);
   record_task(tracer, 1, 8, "FFT", 64, 0, 0.2, 0.21, 0.22, 0, false);
@@ -131,7 +131,9 @@ TEST(Report, FaultViewFromSpanStream) {
   EXPECT_TRUE(tasks[1].ok);
   EXPECT_EQ(tasks[1].attempt, 1u);
   EXPECT_EQ(tasks[1].task_key, 7u);
-  EXPECT_DOUBLE_EQ(tasks[1].enqueue_time, 0.0);  // the first enqueue
+  EXPECT_DOUBLE_EQ(tasks[0].enqueue_time, 0.0);
+  EXPECT_DOUBLE_EQ(tasks[1].enqueue_time, 0.07);  // the retry's re-enqueue
+  EXPECT_NEAR(tasks[1].queue_delay(), 0.03, 1e-12);
 
   const Report report = summarize(events);
   EXPECT_EQ(report.failed_attempts, 2u);
@@ -141,8 +143,9 @@ TEST(Report, FaultViewFromSpanStream) {
   EXPECT_EQ(report.pes_reinstated, 1u);
   EXPECT_EQ(report.retry_latency_count, 1u);
   EXPECT_DOUBLE_EQ(report.retry_latency_mean, 0.12);
-  // Queue delay counts first attempts only: 10 ms and 10 ms.
-  EXPECT_NEAR(report.queue_delay_mean, 0.01, 1e-12);
+  // Queue delay counts every attempt from its own enqueue: 10, 30, 10 ms.
+  EXPECT_NEAR(report.queue_delay_mean, 0.05 / 3.0, 1e-12);
+  EXPECT_NEAR(report.queue_delay_max, 0.03, 1e-12);
   // Without track names, PEs read by index.
   ASSERT_EQ(report.pes.size(), 2u);
   EXPECT_EQ(report.pes[0].name, "pe0");

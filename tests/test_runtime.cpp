@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <set>
 
 #include "cedr/api/impls.h"
 #include "cedr/cedr.h"
@@ -157,23 +158,25 @@ TEST(RuntimeDag, ExecutesGraphRespectingDependencies) {
   app->name = "dag";
   auto order = std::make_shared<std::vector<int>>();
   auto order_mutex = std::make_shared<std::mutex>();
+  std::vector<api::ImplArray> impls;
   for (task::TaskId id = 0; id < 4; ++id) {
     task::Task t;
     t.id = id;
     t.name = "n" + std::to_string(id);
     t.kernel = platform::KernelId::kGeneric;
     t.problem_size = 1000;
-    t.impls = api::make_generic_impls([order, order_mutex, id] {
+    ASSERT_TRUE(app->graph.add_task(std::move(t)).ok());
+    impls.push_back(api::make_generic_impls([order, order_mutex, id] {
       std::lock_guard lock(*order_mutex);
       order->push_back(static_cast<int>(id));
-    });
-    ASSERT_TRUE(app->graph.add_task(std::move(t)).ok());
+    }));
   }
   ASSERT_TRUE(app->graph.add_edge(0, 2).ok());
   ASSERT_TRUE(app->graph.add_edge(1, 2).ok());
   ASSERT_TRUE(app->graph.add_edge(2, 3).ok());
 
-  auto instance = runtime.submit_dag(app);
+  auto instance = runtime.submit_dag(
+      DagSubmission{.descriptor = app, .impls = std::move(impls)});
   ASSERT_TRUE(instance.ok());
   ASSERT_TRUE(runtime.wait_all(30.0).ok());
   EXPECT_TRUE(runtime.shutdown().ok());
@@ -191,10 +194,11 @@ TEST(RuntimeDag, ExecutesGraphRespectingDependencies) {
 TEST(RuntimeDag, RejectsBadDescriptors) {
   Runtime runtime(small_config());
   ASSERT_TRUE(runtime.start().ok());
-  EXPECT_FALSE(runtime.submit_dag(nullptr).ok());
+  EXPECT_FALSE(runtime.submit_dag(DagSubmission{}).ok());
   auto empty = std::make_shared<task::AppDescriptor>();
   empty->name = "empty";
-  EXPECT_FALSE(runtime.submit_dag(empty).ok());
+  EXPECT_FALSE(
+      runtime.submit_dag(DagSubmission{.descriptor = empty, .impls = {}}).ok());
   auto cyclic = std::make_shared<task::AppDescriptor>();
   cyclic->name = "cyclic";
   for (task::TaskId id = 0; id < 2; ++id) {
@@ -204,7 +208,11 @@ TEST(RuntimeDag, RejectsBadDescriptors) {
   }
   ASSERT_TRUE(cyclic->graph.add_edge(0, 1).ok());
   ASSERT_TRUE(cyclic->graph.add_edge(1, 0).ok());
-  EXPECT_FALSE(runtime.submit_dag(cyclic).ok());
+  EXPECT_FALSE(runtime
+                   .submit_dag(DagSubmission{
+                       .descriptor = cyclic,
+                       .impls = std::vector<api::ImplArray>(2)})
+                   .ok());
   EXPECT_TRUE(runtime.shutdown().ok());
 }
 
@@ -213,17 +221,21 @@ TEST(RuntimeDag, MixedWithApiApps) {
   ASSERT_TRUE(runtime.start().ok());
   auto app = std::make_shared<task::AppDescriptor>();
   app->name = "mini_dag";
+  std::vector<api::ImplArray> impls;
   for (task::TaskId id = 0; id < 3; ++id) {
     task::Task t;
     t.id = id;
     t.kernel = platform::KernelId::kGeneric;
-    t.impls = api::make_generic_impls({}, 1000);
     ASSERT_TRUE(app->graph.add_task(std::move(t)).ok());
+    impls.push_back(api::make_generic_impls({}, 1000));
     if (id > 0) {
       ASSERT_TRUE(app->graph.add_edge(id - 1, id).ok());
     }
   }
-  ASSERT_TRUE(runtime.submit_dag(app).ok());
+  ASSERT_TRUE(runtime
+                  .submit_dag(DagSubmission{.descriptor = app,
+                                            .impls = std::move(impls)})
+                  .ok());
   ASSERT_TRUE(runtime
                   .submit_api("api_app",
                               [] {
@@ -265,6 +277,54 @@ TEST(RuntimeTrace, SchedulingRoundsRecorded) {
   EXPECT_EQ(assigned, 4.0);
   EXPECT_EQ(runtime.counters().get("sched_rounds"), rounds);
   EXPECT_GT(runtime.runtime_overhead_s(), 0.0);
+}
+
+TEST(RuntimeTrace, ReapedNamesStayBoundedByTheRing) {
+  // A traced runtime keeps the names of reaped instances for trace export
+  // only while their spans can still be in the ring. After many times more
+  // instances than a small ring holds, the track table names every pid in
+  // the ring yet holds at most ring-capacity reaped names plus live apps.
+  RuntimeConfig config = small_config();
+  config.obs.ring_capacity = 64;
+  Runtime runtime(config);
+  ASSERT_TRUE(runtime.start().ok());
+  auto chain = std::make_shared<task::AppDescriptor>();
+  chain->name = "chain";
+  for (task::TaskId id = 0; id < 2; ++id) {
+    task::Task t;
+    t.id = id;
+    t.name = "nop";
+    ASSERT_TRUE(chain->graph.add_task(std::move(t)).ok());
+  }
+  ASSERT_TRUE(chain->graph.add_edge(0, 1).ok());
+  constexpr std::size_t kBatch = 20;
+  constexpr std::size_t kWaves = 20;
+  for (std::size_t wave = 0; wave < kWaves; ++wave) {
+    std::vector<DagSubmission> batch(
+        kBatch, DagSubmission{.descriptor = chain,
+                              .impls = std::vector<api::ImplArray>(2)});
+    for (const auto& result : runtime.submit_dag_batch(std::move(batch))) {
+      ASSERT_TRUE(result.ok());
+    }
+    ASSERT_TRUE(runtime.wait_all(30.0).ok());
+  }
+
+  const std::vector<obs::SpanEvent> events = runtime.tracer().snapshot();
+  const std::vector<obs::TrackName> tracks = runtime.trace_tracks();
+  EXPECT_TRUE(runtime.shutdown().ok());
+  ASSERT_GT(runtime.tracer().dropped(), 0u);  // the ring wrapped many times
+  std::set<std::uint64_t> named;
+  for (const obs::TrackName& track : tracks) {
+    if (track.is_process && track.pid > 0) named.insert(track.pid);
+  }
+  for (const obs::SpanEvent& e : events) {
+    if (e.pid > 0) {
+      EXPECT_EQ(named.count(e.pid), 1u) << "pid " << e.pid;
+    }
+  }
+  // At most kBatch instances are live at a time.
+  EXPECT_LE(named.size(), runtime.tracer().capacity() + kBatch)
+      << "of " << kBatch * kWaves << " instances";
 }
 
 TEST(RuntimeTasks, FailingImplReportsWithoutKillingRuntime) {
@@ -339,6 +399,10 @@ TEST(RuntimeDag, UnplaceableTaskRejectedAndShutdownReturns) {
   Runtime runtime(config);
   ASSERT_TRUE(runtime.start().ok());
   const task::TaskFn noop = [](task::ExecContext&) { return Status::Ok(); };
+  api::ImplArray mmult_impls{};
+  mmult_impls[static_cast<std::size_t>(platform::PeClass::kMmultAccel)] = noop;
+  api::ImplArray generic_impls{};
+  generic_impls[static_cast<std::size_t>(platform::PeClass::kCpu)] = noop;
   auto accel_only = std::make_shared<task::AppDescriptor>();
   accel_only->name = "mmult_accel_only";
   task::Task mmult;
@@ -346,19 +410,19 @@ TEST(RuntimeDag, UnplaceableTaskRejectedAndShutdownReturns) {
   mmult.name = "mmult";
   mmult.kernel = platform::KernelId::kMmult;
   mmult.problem_size = 32 * 32 * 32;
-  mmult.set_impl(platform::PeClass::kMmultAccel, noop);
   ASSERT_TRUE(accel_only->graph.add_task(mmult).ok());
   auto runnable = std::make_shared<task::AppDescriptor>();
   runnable->name = "generic";
   task::Task generic;
   generic.id = 0;
   generic.name = "generic";
-  generic.set_impl(platform::PeClass::kCpu, noop);
   ASSERT_TRUE(runnable->graph.add_task(generic).ok());
 
   std::vector<DagSubmission> batch;
-  batch.push_back(DagSubmission{.descriptor = accel_only, .impls = {}});
-  batch.push_back(DagSubmission{.descriptor = runnable, .impls = {}});
+  batch.push_back(
+      DagSubmission{.descriptor = accel_only, .impls = {mmult_impls}});
+  batch.push_back(
+      DagSubmission{.descriptor = runnable, .impls = {generic_impls}});
   const auto results = runtime.submit_dag_batch(std::move(batch));
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].status().code(), StatusCode::kFailedPrecondition);
@@ -368,12 +432,12 @@ TEST(RuntimeDag, UnplaceableTaskRejectedAndShutdownReturns) {
   Status api_status;
   ASSERT_TRUE(runtime
                   .submit_api("api_mmult",
-                              [&runtime, &mmult, &api_status] {
+                              [&runtime, &mmult, &mmult_impls, &api_status] {
                                 KernelRequest request;
                                 request.name = "mmult";
                                 request.kernel = mmult.kernel;
                                 request.problem_size = mmult.problem_size;
-                                request.impls = mmult.impls;
+                                request.impls = mmult_impls;
                                 api_status = runtime.enqueue_kernel(
                                     std::move(request),
                                     std::make_shared<Completion>());
@@ -422,7 +486,9 @@ TEST(RuntimeMemory, ResidentSetStaysFlatUnderSustainedLoad) {
   const auto run_tasks = [&](std::size_t tasks) {
     for (std::size_t done = 0; done < tasks; done += kBatch * 4) {
       std::vector<DagSubmission> batch(
-          kBatch, DagSubmission{.descriptor = chain, .impls = {}});
+          kBatch,
+          DagSubmission{.descriptor = chain,
+                        .impls = std::vector<api::ImplArray>(4)});
       for (const auto& result : runtime.submit_dag_batch(std::move(batch))) {
         ASSERT_TRUE(result.ok());
       }
@@ -471,7 +537,8 @@ TEST(RuntimeSched, HostEftAvailabilityLeadStaysBounded) {
       std::chrono::steady_clock::now() + std::chrono::milliseconds(1500);
   while (std::chrono::steady_clock::now() < deadline) {
     while (window.size() < 8) {
-      auto id = runtime.submit_dag(app);
+      auto id = runtime.submit_dag(DagSubmission{
+          .descriptor = app, .impls = std::vector<api::ImplArray>(kWidth)});
       ASSERT_TRUE(id.ok());
       window.push_back(*id);
     }

@@ -1,5 +1,5 @@
-// Tests for the task model: TaskGraph invariants, topological order,
-// runnability, and the JSON DAG loader.
+// Tests for the task model: TaskGraph invariants, topological order and
+// the JSON DAG loader.
 #include <gtest/gtest.h>
 
 #include "cedr/task/dag_loader.h"
@@ -112,19 +112,6 @@ TEST(TaskGraph, LargeGraphTopoIsLinearish) {
   EXPECT_EQ(order->back(), kN - 1);
 }
 
-TEST(TaskRunnability, FollowsSupportAndImpls) {
-  Task t = make_task(0, platform::KernelId::kFft);
-  // No impls: runnable anywhere the kernel is supported.
-  EXPECT_TRUE(t.runnable_on(platform::PeClass::kCpu));
-  EXPECT_TRUE(t.runnable_on(platform::PeClass::kFftAccel));
-  EXPECT_FALSE(t.runnable_on(platform::PeClass::kMmultAccel));
-  // With a CPU-only impl the accelerator is no longer admissible.
-  t.set_impl(platform::PeClass::kCpu,
-             [](ExecContext&) { return Status::Ok(); });
-  EXPECT_TRUE(t.runnable_on(platform::PeClass::kCpu));
-  EXPECT_FALSE(t.runnable_on(platform::PeClass::kFftAccel));
-}
-
 // ---- DAG JSON loader -------------------------------------------------------
 
 constexpr const char* kValidDag = R"({
@@ -152,20 +139,6 @@ TEST(DagLoader, ParsesValidDocument) {
   EXPECT_EQ(app->graph.head_nodes(), (std::vector<TaskId>{0, 1}));
   EXPECT_EQ(app->graph.get(0).data_bytes, 4096u);
   EXPECT_EQ(app->graph.get(3).problem_size, 10000u);
-}
-
-TEST(DagLoader, RoundTripsThroughJson) {
-  auto doc = json::parse(kValidDag);
-  auto app = app_from_json(*doc);
-  ASSERT_TRUE(app.ok());
-  auto app2 = app_from_json(app_to_json(*app));
-  ASSERT_TRUE(app2.ok());
-  EXPECT_EQ(app2->graph.size(), app->graph.size());
-  for (const Task& t : app->graph.tasks()) {
-    EXPECT_EQ(app2->graph.get(t.id).kernel, t.kernel);
-    EXPECT_EQ(app2->graph.get(t.id).name, t.name);
-    EXPECT_EQ(app2->graph.predecessors(t.id), app->graph.predecessors(t.id));
-  }
 }
 
 struct BadDag {
@@ -207,19 +180,6 @@ INSTANTIATE_TEST_SUITE_P(
                    "tasks": [{"id": 0, "predecessors": [1]},
                              {"id": 1, "predecessors": [0]}]})"}),
     [](const auto& info) { return info.param.name; });
-
-TEST(DagLoader, LoadsFromDisk) {
-  const std::string path = ::testing::TempDir() + "/cedr_dag_test.json";
-  {
-    auto doc = json::parse(kValidDag);
-    ASSERT_TRUE(json::write_file(path, *doc).ok());
-  }
-  auto app = load_app(path);
-  ASSERT_TRUE(app.ok());
-  EXPECT_EQ(app->name, "demo");
-  EXPECT_EQ(load_app("/nonexistent.json").status().code(),
-            StatusCode::kNotFound);
-}
 
 }  // namespace
 }  // namespace cedr::task
