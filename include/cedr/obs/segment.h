@@ -144,7 +144,9 @@ class SegmentWriter {
   /// Buffers `events` into the open segment (splitting across rotation
   /// boundaries when a drain exceeds max_segment_events), adds `dropped`
   /// to the open segment's drop count, and rewrites the open segment file
-  /// durably. `tracks` is the full track table as of now.
+  /// durably. `tracks` is the track table as of now; the open segment
+  /// carries the union of the tables appended since it opened, because a
+  /// later table may have forgotten an instance whose events it holds.
   Status append(const std::vector<SpanTracer::TicketedEvent>& events,
                 std::uint64_t dropped, const std::vector<TrackName>& tracks,
                 double now);
@@ -167,7 +169,7 @@ class SegmentWriter {
 
  private:
   [[nodiscard]] std::string segment_path(std::uint64_t seq) const;
-  Status write_open_segment(const std::vector<TrackName>& tracks);
+  Status write_open_segment();
   /// Closes the open segment and applies the retention bound.
   Status rotate();
 
@@ -176,6 +178,8 @@ class SegmentWriter {
   std::uint64_t pending_dropped_ = 0;
   double open_since_ = -1.0;  ///< `now` of the first pending event
   bool open_written_ = false; ///< open segment exists on disk
+  /// Union of the track tables appended since the open segment began.
+  std::vector<TrackName> open_tracks_;
   std::uint64_t seq_ = 0;
   std::atomic<std::uint64_t> segments_finalized_{0};
   std::atomic<std::uint64_t> events_written_{0};
@@ -211,6 +215,10 @@ class TraceFlusher {
   [[nodiscard]] const SegmentWriter& writer() const { return writer_; }
 
  private:
+  /// Drains new events and appends them with the track table. Caller holds
+  /// mutex_.
+  Status append_drained(double now);
+
   const SpanTracer& tracer_;
   SegmentWriter writer_;
   std::function<std::vector<TrackName>()> tracks_fn_;

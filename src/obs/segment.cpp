@@ -8,12 +8,28 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
+#include <tuple>
 #include <utility>
 
 namespace cedr::obs {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// Appends to `into` each track of `more` that `into` does not name yet.
+void merge_tracks(std::vector<TrackName>& into,
+                  const std::vector<TrackName>& more) {
+  const auto key = [](const TrackName& t) {
+    return std::make_tuple(t.is_process, t.pid,
+                           t.is_process ? std::uint64_t{0} : t.tid);
+  };
+  std::set<std::tuple<bool, std::uint64_t, std::uint64_t>> seen;
+  for (const TrackName& track : into) seen.insert(key(track));
+  for (const TrackName& track : more) {
+    if (seen.insert(key(track)).second) into.push_back(track);
+  }
+}
 
 constexpr std::size_t kHeaderBytes = 56;
 constexpr std::size_t kTrackRecordBytes = 24;
@@ -326,9 +342,10 @@ StatusOr<StitchedTrace> stitch_segments(const std::vector<std::string>& paths) {
     stitched.dropped_total += segment.value().dropped_since_prev;
     stitched.segments.push_back(std::move(segment).value());
   }
-  // Union the track tables in first-appearance order. Track tables only
-  // grow in both runtimes (names are never forgotten while tracing), so the
-  // union names every (pid, tid) any surviving segment references.
+  // Union the track tables in first-appearance order. Each segment's table
+  // names every (pid, tid) its own events reference (TraceFlusher takes the
+  // table on both sides of the drain), so the union names every (pid, tid)
+  // any surviving segment references.
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::size_t> seen_threads;
   std::map<std::uint64_t, std::size_t> seen_processes;
   for (const auto& segment : stitched.segments) {
@@ -408,9 +425,10 @@ Status SegmentWriter::open() {
   return Status::Ok();
 }
 
-Status SegmentWriter::write_open_segment(const std::vector<TrackName>& tracks) {
+Status SegmentWriter::write_open_segment() {
   CEDR_RETURN_IF_ERROR(write_segment_file(segment_path(seq_), seq_,
-                                          pending_dropped_, tracks, pending_));
+                                          pending_dropped_, open_tracks_,
+                                          pending_));
   open_written_ = true;
   return Status::Ok();
 }
@@ -420,6 +438,7 @@ Status SegmentWriter::rotate() {
   ++seq_;
   ++segments_finalized_;
   open_written_ = false;
+  open_tracks_.clear();
   if (config_.max_segments > 0) {
     while (finalized_.size() > config_.max_segments) {
       std::remove(finalized_.front().c_str());
@@ -435,6 +454,7 @@ Status SegmentWriter::append(
   pending_dropped_ += dropped;
   if (!events.empty() && open_since_ < 0.0) open_since_ = now;
   pending_.insert(pending_.end(), events.begin(), events.end());
+  merge_tracks(open_tracks_, tracks);
   events_written_ += events.size();
   // Size rotation: peel off full segments. A single oversized drain can
   // finalize several segments in one call.
@@ -444,17 +464,20 @@ Status SegmentWriter::append(
         pending_.begin() +
         static_cast<std::ptrdiff_t>(config_.max_segment_events);
     const std::vector<SpanTracer::TicketedEvent> chunk(pending_.begin(), split);
-    CEDR_RETURN_IF_ERROR(write_segment_file(segment_path(seq_), seq_,
-                                            pending_dropped_, tracks, chunk));
+    CEDR_RETURN_IF_ERROR(write_segment_file(
+        segment_path(seq_), seq_, pending_dropped_, open_tracks_, chunk));
     pending_.erase(pending_.begin(), split);
     pending_dropped_ = 0;
     open_since_ = pending_.empty() ? -1.0 : now;
     CEDR_RETURN_IF_ERROR(rotate());
+    // Every event still pending came from this call (each call leaves
+    // fewer than a segment pending), so this call's table names them.
+    open_tracks_ = tracks;
   }
   // Age rotation: the open segment's oldest event has waited long enough.
   if (!pending_.empty() && config_.max_segment_age_s > 0.0 &&
       open_since_ >= 0.0 && now - open_since_ >= config_.max_segment_age_s) {
-    CEDR_RETURN_IF_ERROR(write_open_segment(tracks));
+    CEDR_RETURN_IF_ERROR(write_open_segment());
     CEDR_RETURN_IF_ERROR(rotate());
     pending_.clear();
     pending_dropped_ = 0;
@@ -464,7 +487,7 @@ Status SegmentWriter::append(
   // Otherwise durably rewrite the open segment so a SIGKILL after this
   // flush loses nothing that was drained.
   if (!pending_.empty() || pending_dropped_ > 0) {
-    return write_open_segment(tracks);
+    return write_open_segment();
   }
   return Status::Ok();
 }
@@ -473,7 +496,8 @@ Status SegmentWriter::finalize(const std::vector<TrackName>& tracks) {
   if (pending_.empty() && pending_dropped_ == 0 && !open_written_) {
     return Status::Ok();
   }
-  CEDR_RETURN_IF_ERROR(write_open_segment(tracks));
+  merge_tracks(open_tracks_, tracks);
+  CEDR_RETURN_IF_ERROR(write_open_segment());
   CEDR_RETURN_IF_ERROR(rotate());
   pending_.clear();
   pending_dropped_ = 0;
@@ -483,26 +507,31 @@ Status SegmentWriter::finalize(const std::vector<TrackName>& tracks) {
 
 // --- TraceFlusher ----------------------------------------------------------
 
-Status TraceFlusher::flush(double now) {
-  std::lock_guard<std::mutex> lock(mutex_);
+Status TraceFlusher::append_drained(double now) {
+  // The runtime forgets a finished instance's name once the ring has
+  // overwritten its spans, which can happen between the drain and a table
+  // taken after it. A table taken before the drain names every finished
+  // instance whose spans the drain can still copy; one taken after names
+  // the instances started since. The segment carries both.
+  std::vector<TrackName> tracks = tracks_fn_();
   const auto events = tracer_.drain(cursor_);
   const std::uint64_t dropped = tracer_.consume_dropped();
   if (dropped > 0) {
     dropped_total_.fetch_add(dropped, std::memory_order_relaxed);
   }
-  return writer_.append(events, dropped, tracks_fn_(), now);
+  merge_tracks(tracks, tracks_fn_());
+  return writer_.append(events, dropped, tracks, now);
+}
+
+Status TraceFlusher::flush(double now) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return append_drained(now);
 }
 
 Status TraceFlusher::finish(double now) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto events = tracer_.drain(cursor_);
-  const std::uint64_t dropped = tracer_.consume_dropped();
-  if (dropped > 0) {
-    dropped_total_.fetch_add(dropped, std::memory_order_relaxed);
-  }
-  const auto tracks = tracks_fn_();
-  CEDR_RETURN_IF_ERROR(writer_.append(events, dropped, tracks, now));
-  return writer_.finalize(tracks);
+  CEDR_RETURN_IF_ERROR(append_drained(now));
+  return writer_.finalize({});  // the open segment holds every table
 }
 
 }  // namespace cedr::obs

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -583,6 +584,62 @@ TEST(RuntimeTracePipeline, ShutdownLeavesConvertibleSegments) {
     if (track.is_process && track.name == "cedr runtime") named_runtime = true;
   }
   EXPECT_TRUE(named_runtime);
+}
+
+TEST(RuntimeTracePipeline, SegmentsNameEveryInstanceUnderRingOverrun) {
+  // The runtime forgets a reaped instance's name once the ring has
+  // overwritten its spans. Under sustained load on a small ring, segments
+  // written by the background flusher must still name every instance
+  // whose events they hold.
+  const std::string dir = test_dir("runtime_names");
+  rt::RuntimeConfig config;
+  config.platform = platform::host(2, 1, 0);
+  config.obs.ring_capacity = 256;
+  config.obs.trace_dir = dir;
+  config.obs.trace_flush_interval_s = 0.001;
+  config.obs.trace_retention = 0;
+  rt::Runtime runtime(config);
+  ASSERT_TRUE(runtime.start().ok());
+  auto chain = std::make_shared<task::AppDescriptor>();
+  chain->name = "chain";
+  for (task::TaskId id = 0; id < 2; ++id) {
+    task::Task t;
+    t.id = id;
+    t.name = "nop";
+    ASSERT_TRUE(chain->graph.add_task(std::move(t)).ok());
+  }
+  ASSERT_TRUE(chain->graph.add_edge(0, 1).ok());
+  for (int wave = 0; wave < 200; ++wave) {
+    std::vector<rt::DagSubmission> batch(
+        16, rt::DagSubmission{
+                .descriptor = chain,
+                .impls = std::vector<std::array<task::TaskFn,
+                                                platform::kNumPeClasses>>(2)});
+    for (const auto& result : runtime.submit_dag_batch(std::move(batch))) {
+      ASSERT_TRUE(result.ok());
+    }
+    ASSERT_TRUE(runtime.wait_all(30.0).ok());
+  }
+  ASSERT_TRUE(runtime.shutdown().ok());
+
+  auto paths = list_segments(dir);
+  ASSERT_TRUE(paths.ok());
+  auto stitched = stitch_segments(*paths);
+  ASSERT_TRUE(stitched.ok()) << stitched.status().to_string();
+  std::set<std::uint64_t> named;
+  for (const auto& track : stitched->tracks) {
+    if (track.is_process) named.insert(track.pid);
+  }
+  std::size_t app_events = 0;
+  std::set<std::uint64_t> unnamed;
+  for (const auto& event : stitched->events) {
+    if (event.pid == 0) continue;
+    ++app_events;
+    if (named.count(event.pid) == 0) unnamed.insert(event.pid);
+  }
+  EXPECT_GT(app_events, 0u);
+  EXPECT_TRUE(unnamed.empty())
+      << unnamed.size() << " instance pids unnamed, first " << *unnamed.begin();
 }
 
 TEST(RuntimeTracePipeline, ObsConfigRoundTripsThroughJson) {
