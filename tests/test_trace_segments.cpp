@@ -594,7 +594,7 @@ TEST(RuntimeTracePipeline, SegmentsNameEveryInstanceUnderRingOverrun) {
   const std::string dir = test_dir("runtime_names");
   rt::RuntimeConfig config;
   config.platform = platform::host(2, 1, 0);
-  config.obs.ring_capacity = 256;
+  config.obs.ring_capacity = 1024;
   config.obs.trace_dir = dir;
   config.obs.trace_flush_interval_s = 0.001;
   config.obs.trace_retention = 0;
