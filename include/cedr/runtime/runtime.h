@@ -5,9 +5,12 @@
 //   - one worker thread per PE; CPU workers execute kernels inline,
 //     accelerator workers drive their emulated MMIO device (program
 //     registers -> DMA -> poll -> readback) exactly as the ZCU102 flow does;
-//   - a main event loop that receives submissions, releases DAG successors,
-//     runs the configured scheduling heuristic over the ready queue each
-//     round, and dispatches assignments to per-worker mailboxes;
+//   - scheduling rounds that release DAG successors, run the configured
+//     heuristic over the ready queue and dispatch assignments to per-worker
+//     mailboxes. The thread that publishes work (a submitter, an API app
+//     thread, a worker reporting completions) runs the round itself when no
+//     other thread owns it; a main loop keeps the timed tick (retry backoff,
+//     probe windows), reaps application threads and handles shutdown;
 //   - two application models: DAG-based (a task graph whose nodes the
 //     runtime schedules, the pre-CEDR-API model) and API-based (the
 //     application's main runs on its own thread and every libCEDR call
@@ -113,8 +116,9 @@ struct RuntimeStats {
 struct RuntimeConfig {
   platform::PlatformConfig platform;
   std::string scheduler = "EFT";
-  /// Upper bound on how long the event loop sleeps between scheduling
-  /// rounds when no events arrive.
+  /// Period of the main loop's tick: a scheduling round that releases
+  /// retries whose backoff elapsed and reopens probe windows. Published
+  /// work never waits for it (the publisher runs the round).
   double scheduler_period_s = 200e-6;
   /// Default timeout for wait_all / wait_app when the caller passes none:
   /// seconds to wait before giving up with Unavailable. 0 waits forever
@@ -286,25 +290,47 @@ class Runtime {
   struct InFlightTask;
   struct AppInstance;
   struct Worker;
+  struct RoundHandoff;
 
   // The implementation is split across focused translation units
   // (docs/scheduling.md):
   //   runtime.cpp       — configuration, lifecycle, observability accessors
   //   app_lifecycle.cpp — submissions, enqueue_kernel, waiting
-  //   ready_state.cpp   — main event loop, completion processing
+  //   ready_state.cpp   — round ownership, main loop, completion processing
   //   dispatch.cpp      — scheduling rounds, worker threads
   void main_loop();
   void worker_loop(Worker& worker);
-  void process_completions();
-  void run_scheduling_round();
+  /// Called after publishing work: flags a round as pending and, unless
+  /// another thread owns the round, runs rounds until none is pending.
+  /// Never blocks on the ownership lock. A publishing `worker` runs no
+  /// round while its own mailbox holds tasks.
+  void drive_rounds(const Worker* worker = nullptr);
+  /// One owned round: drains completions, then schedules. Caller holds the
+  /// ownership lock, and passes `out` to hand_off() once it released it.
+  void owner_round(RoundHandoff& out);
+  void process_completions(RoundHandoff& out);
+  void run_scheduling_round(RoundHandoff& out);
+  /// Pushes a round's dispatch batches to the worker mailboxes and wakes
+  /// application waiters; called without the ownership lock.
+  void hand_off(RoundHandoff& out);
   /// Marks an application finished. Caller holds the app-lifecycle mutex.
   void finish_app_locked(AppInstance& app);
-  /// Finishes API apps whose main returned with no kernels outstanding and
-  /// reaps exited application threads. Returns whether any app finished.
-  bool finish_idle_api_apps();
+  /// Moves the finished instance `id` out of the lifecycle map into
+  /// `retired`, to be recycled once the app-lifecycle mutex (held by the
+  /// caller) is released. While tracing, its name is kept for trace export
+  /// until the span ring has recorded a full capacity since.
+  void retire_app_locked(std::uint64_t id,
+                         std::vector<std::unique_ptr<AppInstance>>& retired);
+  /// Joins exited application threads and retires their instances once
+  /// finished (main loop only).
+  void reap_app_threads();
   Status execute_on_pe(InFlightTask& task, Worker& worker);
   /// Bumps a counter iff RuntimeConfig::enable_counters is set.
   void count(const char* name, std::uint64_t delta = 1);
+  /// Same, for a counter bumped per task or per round: no lock, no lookup.
+  void count(trace::CachedCounter& counter, std::uint64_t delta = 1) {
+    if (config_.enable_counters) counter.add(counters_, delta);
+  }
 
   RuntimeConfig config_;
   std::unique_ptr<sched::Scheduler> scheduler_;
@@ -314,6 +340,19 @@ class Runtime {
   /// sched::Frontier and lookahead placements become reservations.
   sched::LookaheadScheduler* lookahead_ = nullptr;
   trace::CounterSet counters_;
+  /// Counters bumped per task or per scheduling round.
+  struct HotCounters {
+    trace::CachedCounter kernels_enqueued{"kernels_enqueued"};
+    trace::CachedCounter tasks_executed{"tasks_executed"};
+    trace::CachedCounter apps_submitted_dag{"apps_submitted_dag"};
+    trace::CachedCounter apps_submitted_api{"apps_submitted_api"};
+    trace::CachedCounter apps_completed{"apps_completed"};
+    trace::CachedCounter sched_rounds{"sched_rounds"};
+    trace::CachedCounter sched_comparisons{"sched_comparisons"};
+    trace::CachedCounter reservations_made{"sched.reservations_made"};
+    trace::CachedCounter reservation_hits{"sched.reservation_hits"};
+  };
+  HotCounters hot_;
   obs::SpanTracer tracer_;
   obs::MetricsRegistry metrics_;
   std::unique_ptr<obs::Sampler> sampler_;

@@ -10,8 +10,8 @@
 // caller's `now` (wall seconds in the runtime, virtual seconds in the
 // emulator) and return the transition they made, which each caller turns
 // into its own trace and log lines. Times compare with a 1e-12 s tolerance.
-// Not thread-safe: the runtime calls it from its main loop under the locks
-// that loop already holds, the emulator from its single event loop.
+// Not thread-safe: the runtime calls it from the scheduling-round owner
+// under the locks the owner holds, the emulator from its single event loop.
 
 #include <cstdint>
 #include <memory>

@@ -198,7 +198,7 @@ std::vector<StatusOr<std::uint64_t>> Runtime::submit_dag_batch(
     const std::uint64_t id = ids[i];
     tracer_.instant(obs::Category::kApp, "app_arrival", 1 + id, 0, arrival,
                     "tasks", static_cast<double>(task_counts[i]));
-    count("apps_submitted_dag");
+    count(hot_.apps_submitted_dag);
     for (auto& inflight : prepared[i]->heads) {
       inflight->key =
           impl_->next_task_key.fetch_add(1, std::memory_order_relaxed);
@@ -214,7 +214,6 @@ std::vector<StatusOr<std::uint64_t>> Runtime::submit_dag_batch(
   if (!items.empty()) {
     impl_->ready.push_batch(items);
     impl_->sched_epoch.fetch_add(1, std::memory_order_relaxed);
-    impl_->wake_main();
   }
   if (accepting && instantiate_us_ != nullptr && ok_count != 0) {
     const double per_instance_us =
@@ -223,6 +222,10 @@ std::vector<StatusOr<std::uint64_t>> Runtime::submit_dag_batch(
       instantiate_us_->record(per_instance_us);
     }
   }
+
+  // After the accounting above, so instantiate_us stays the submission's
+  // own cost and excludes the round this thread may now own.
+  if (!items.empty()) drive_rounds();
 
   results.reserve(prepared.size());
   for (std::size_t i = 0; i < prepared.size(); ++i) {
@@ -264,28 +267,38 @@ StatusOr<std::uint64_t> Runtime::submit_api(std::string app_name,
   }
   tracer_.instant(obs::Category::kApp, "app_arrival", 1 + id, 0,
                   raw->arrival_time);
-  count("apps_submitted_api");
+  count(hot_.apps_submitted_api);
 
   // "A new system thread is spawned that executes that application's main
   // function" (paper §II-C). The binding routes its libCEDR calls here.
-  // The AppInstance address is stable (owned by the map via unique_ptr),
-  // so spawning after the lock is released is safe. The handle is stored
-  // under app_mutex: the spawned thread can run — and set thread_exited —
-  // before the move-assignment completes, and the main loop's reaper reads
+  // The AppInstance address is stable (owned by the map via unique_ptr,
+  // never erased before its thread is claimed), so spawning after the lock
+  // is released is safe. The handle is stored under app_mutex: the spawned
+  // thread can run — and queue itself for reaping — before the
+  // move-assignment completes, and the main loop's reaper reads
   // app_thread.joinable() under that lock.
   std::thread app_thread([this, raw, fn = std::move(main_fn)] {
     thread_binding() = ThreadBinding{this, raw->id};
     fn();
     thread_binding() = ThreadBinding{};
-    raw->main_done.store(true, std::memory_order_release);
-    raw->thread_exited.store(true, std::memory_order_release);
-    impl_->wake_main();
+    // main returned: with no kernel outstanding the app finishes here,
+    // otherwise at its last kernel's completion (process_completions).
+    bool finished = false;
+    {
+      std::lock_guard lock(impl_->app_mutex);
+      raw->main_done = true;
+      if (raw->outstanding_kernels == 0) {
+        finish_app_locked(*raw);
+        finished = true;
+      }
+      impl_->exited_app_threads.push_back(raw->id);
+    }
+    if (finished) impl_->app_done_cv.notify_all();
   });
   {
     std::lock_guard lock(impl_->app_mutex);
     raw->app_thread = std::move(app_thread);
   }
-  impl_->wake_main();
   return id;
 }
 
@@ -348,11 +361,13 @@ Status Runtime::enqueue_kernel(KernelRequest request, CompletionPtr completion) 
   // thread" in API-based CEDR (paper §IV-A) — this push is on the app
   // thread, not the main loop. It takes only the task's shard lock, so
   // concurrent app threads enqueueing for different PE classes don't
-  // contend with each other or with the dispatching main loop.
+  // contend with each other or with the round owner.
   impl_->push_ready(std::move(inflight));
   impl_->sched_epoch.fetch_add(1, std::memory_order_relaxed);
-  count("kernels_enqueued");
-  impl_->wake_main();
+  count(hot_.kernels_enqueued);
+  // Fig. 4's hand-off minus the main-loop hop: unless another thread owns
+  // the round, this app thread dispatches its own call.
+  drive_rounds();
   return Status::Ok();
 }
 
@@ -363,7 +378,7 @@ void Runtime::finish_app_locked(AppInstance& app) {
   tracer_.instant(obs::Category::kApp, "app_complete", 1 + app.id, 0,
                   completion, "exec_time_s", completion - app.arrival_time);
   impl_->completed.fetch_add(1, std::memory_order_relaxed);
-  count("apps_completed");
+  count(hot_.apps_completed);
 }
 
 // ---------------------------------------------------------------------------

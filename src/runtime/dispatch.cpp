@@ -3,11 +3,11 @@
 // mailboxes in batches (one wakeup per worker per round), and execute
 // tasks on the emulated PEs.
 //
-// The round runs on the main event-loop thread with no global lock: the
-// queue snapshot takes per-shard leaf locks, probe dispatch changes PE
-// health under health_mutex, and everything else it touches is main-loop
-// private (runtime_impl.h). Probe admission, availability, the cost view
-// and reservations come from the policy engine.
+// The round runs on whichever thread owns it (round_mutex, see
+// drive_rounds): the queue snapshot takes per-shard leaf locks, probe
+// dispatch changes PE health under health_mutex, and everything else it
+// touches is owner-private (runtime_impl.h). Probe admission, availability,
+// the cost view and reservations come from the policy engine.
 
 #include <algorithm>
 #include <chrono>
@@ -19,7 +19,7 @@
 
 namespace cedr::rt {
 
-void Runtime::run_scheduling_round() {
+void Runtime::run_scheduling_round(RoundHandoff& out) {
   // A blocked round stays blocked until new work / a completion bumps the
   // epoch or the earliest unblocking timer (backoff release, probe window)
   // passes; re-running the heuristic before then cannot dispatch anything.
@@ -85,7 +85,7 @@ void Runtime::run_scheduling_round() {
     result.assignments = std::move(window.assignments);
     result.comparisons = window.comparisons;
     policy.reserve(window.reservations);
-    count("sched.reservations_made", window.reservations.size());
+    count(hot_.reservations_made, window.reservations.size());
     metrics_.set_gauge("sched.frontier_size",
                        static_cast<double>(frontier.size()));
     lookahead_round_us_->record(round_watch.elapsed_us());
@@ -102,14 +102,15 @@ void Runtime::run_scheduling_round() {
                         t_now, decision_time, "ready",
                         static_cast<double>(snap.size()), "assigned",
                         static_cast<double>(result.assignments.size()));
-  count("sched_rounds");
-  count("sched_comparisons", result.comparisons);
+  count(hot_.sched_rounds);
+  count(hot_.sched_comparisons, result.comparisons);
 
   // Group assigned tasks into one batch per worker; keep the rest queued.
   // A quarantined PE whose probe window admitted it takes exactly one task
   // (the probe); further assignments to it stay queued for the next round.
-  std::vector<std::vector<std::shared_ptr<InFlightTask>>> batches(
-      impl_->workers.size());
+  // The batches are pushed by hand_off() once the round is released: one
+  // mailbox lock and one wakeup per worker per round.
+  if (out.batches.empty()) out.batches.resize(impl_->workers.size());
   std::vector<sched::ReadyQueueShards::Entry> taken;
   taken.reserve(result.assignments.size());
   {
@@ -124,7 +125,7 @@ void Runtime::run_scheduling_round() {
       const sched::ReadyQueueShards::Entry& entry = snap.entries[a.queue_index];
       auto task = std::static_pointer_cast<InFlightTask>(entry.payload);
       task->booked_s = a.estimate_s;
-      batches[a.pe_index].push_back(std::move(task));
+      out.batches[a.pe_index].push_back(std::move(task));
       taken.push_back(entry);
     }
   }
@@ -132,15 +133,10 @@ void Runtime::run_scheduling_round() {
   // executing; entries pushed since the snapshot are untouched.
   impl_->ready.remove(taken);
   const std::size_t dispatched = taken.size();
-  for (std::size_t i = 0; i < batches.size(); ++i) {
-    if (batches[i].empty()) continue;
-    for (const auto& task : batches[i]) {
-      tracer_.flow(obs::EventKind::kFlowStep, obs::Category::kSched,
-                   "dispatch", 0, 0, now(), task->key);
-    }
-    // Batched handoff: one mailbox lock and one wakeup per worker per
-    // round, instead of one of each per task.
-    impl_->workers[i]->mailbox.push_batch(std::span(batches[i]));
+  for (const sched::ReadyQueueShards::Entry& entry : taken) {
+    tracer_.flow(obs::EventKind::kFlowStep, obs::Category::kSched, "dispatch",
+                 0, 0, now(),
+                 static_cast<const InFlightTask*>(entry.payload.get())->key);
   }
   if (dispatched == 0 && impl_->ready.size() != 0) {
     // Nothing moved: block further rounds until the state epoch changes or
@@ -318,8 +314,8 @@ constexpr double kLongTaskFlushS = 1e-3;
 
 void Runtime::worker_loop(Worker& worker) {
   // Finished tasks are deposited here and published in batches: one
-  // event_mutex acquisition and one wakeup per flush instead of per task.
-  // Flush rules — batch full, a long task, or (the latency bound) the
+  // event_mutex acquisition and one round hand-off per flush instead of per
+  // task. Flush rules — batch full, a long task, or (the latency bound) the
   // mailbox going idle: a worker never sleeps on undelivered completions.
   std::vector<Impl::CompletionRecord> pending;
   pending.reserve(kCompletionFlushBatch);
@@ -332,11 +328,11 @@ void Runtime::worker_loop(Worker& worker) {
         impl_->completions.push_back(std::move(rec));
       }
     }
-    impl_->event_cv.notify_all();
     if (complete_publish_us_ != nullptr) {
       complete_publish_us_->record(publish.elapsed_us());
     }
     pending.clear();
+    drive_rounds(&worker);
   };
 
   for (;;) {
@@ -372,7 +368,7 @@ void Runtime::worker_loop(Worker& worker) {
       adapt_->observe(task->kernel, worker.pe.cls, task->problem_size,
                       task->data_bytes, end - start);
     }
-    count("tasks_executed");
+    count(hot_.tasks_executed);
     queue_delay_us_->record((start - task->enqueue_time) * 1e6);
     service_time_us_->record((end - start) * 1e6);
     // The execute span is the task's execution record (trace/report.h):
@@ -386,8 +382,8 @@ void Runtime::worker_loop(Worker& worker) {
         status.ok() ? obs::kAttemptArg : obs::kFailedAttemptArg,
         static_cast<double>(task->retry.attempt));
     // Fig. 4: the worker signals the sleeping application thread directly —
-    // but only on success. Failures first go through the main loop's retry
-    // machinery; only a terminal failure is signalled (from there).
+    // but only on success. Failures first go through the round owner's
+    // retry machinery; only a terminal failure is signalled (from there).
     if (status.ok() && task->completion) task->completion->signal(status);
     const bool long_task = end - start > kLongTaskFlushS;
     pending.push_back(Impl::CompletionRecord{

@@ -1,10 +1,11 @@
-// The main event loop and completion processing: worker-reported results
-// go through the policy engine (outstanding work, PE health, bounded retry
-// with backoff, reservation honouring), then drive DAG successor release
-// and application completion. This TU owns the ready state transitions;
-// the scheduling round itself lives in dispatch.cpp.
+// Round ownership, the main loop and completion processing: worker-reported
+// results go through the policy engine (outstanding work, PE health,
+// bounded retry with backoff, reservation honouring), then drive DAG
+// successor release and application completion. This TU owns the ready
+// state transitions; the scheduling round itself lives in dispatch.cpp.
 //
-// Locking (runtime_impl.h): completion records are drained under the leaf
+// Locking (runtime_impl.h): rounds run under round_mutex, taken by whichever
+// thread published the work. Completion records are drained under the leaf
 // event_mutex, then processed with health_mutex (PE health) and app_mutex
 // (lifecycle) taken separately and never together with event_mutex held.
 
@@ -16,37 +17,77 @@
 
 namespace cedr::rt {
 
-void Runtime::main_loop() {
-  while (true) {
+void Runtime::drive_rounds(const Worker* worker) {
+  Impl& impl = *impl_;
+  // Sequentially consistent on purpose: this store must not be reordered
+  // after the try-lock below, nor an owner's re-check before its unlock —
+  // otherwise a publisher and an unlocking owner could each miss the other.
+  impl.round_pending.store(true);
+  RoundHandoff handoff;
+  // A worker with tasks in its mailbox leaves the round pending for the
+  // next publisher or the tick: running it would queue those tasks behind
+  // the round. Its own next flush comes at the latest when they finish.
+  while (impl.round_pending.load() &&
+         (worker == nullptr || worker->mailbox.empty())) {
     {
-      std::unique_lock lock(impl_->event_mutex);
-      impl_->event_cv.wait_for(
-          lock, std::chrono::duration<double>(config_.scheduler_period_s),
-          [this] {
-            // A ready queue the last round could not dispatch from (all
-            // capable PEs quarantined / probes pending / retries backing
-            // off) is not a wake reason until something changes; otherwise
-            // the loop would busy-spin empty scheduling rounds.
-            const bool schedulable =
-                impl_->ready.size() != 0 &&
-                !(impl_->sched_blocked &&
-                  impl_->sched_epoch.load(std::memory_order_relaxed) ==
-                      impl_->sched_blocked_epoch);
-            return impl_->stopping.load(std::memory_order_relaxed) ||
-                   !impl_->completions.empty() || schedulable;
-          });
-      if (impl_->stopping.load(std::memory_order_relaxed) &&
-          impl_->completions.empty() && impl_->ready.size() == 0 &&
-          impl_->policy.deferred_count() == 0) {
-        break;
-      }
+      std::unique_lock owner(impl.round_mutex, std::try_to_lock);
+      // The owner re-checks round_pending after it unlocks, so it (or the
+      // thread after it) runs the round this call asked for.
+      if (!owner.owns_lock()) return;
+      owner_round(handoff);
     }
-    process_completions();
-    run_scheduling_round();
+    hand_off(handoff);
   }
 }
 
-void Runtime::process_completions() {
+void Runtime::owner_round(RoundHandoff& out) {
+  // Cleared before draining: anything published from here on sets it again
+  // and is picked up by the caller's re-check.
+  impl_->round_pending.store(false);
+  process_completions(out);
+  run_scheduling_round(out);
+}
+
+void Runtime::hand_off(RoundHandoff& out) {
+  for (std::size_t pe = 0; pe < out.batches.size(); ++pe) {
+    if (out.batches[pe].empty()) continue;
+    impl_->workers[pe]->mailbox.push_batch(std::span(out.batches[pe]));
+    out.batches[pe].clear();
+  }
+  if (out.app_finished) impl_->app_done_cv.notify_all();
+  out.app_finished = false;
+}
+
+void Runtime::main_loop() {
+  // Publishers run the rounds their work needs (drive_rounds), so the loop
+  // only ticks: a round every scheduler period releases retries whose
+  // backoff elapsed and reopens probe windows, events no publisher reports.
+  // It also joins exited application threads and ends the runtime.
+  const auto period = std::chrono::duration<double>(config_.scheduler_period_s);
+  while (true) {
+    {
+      std::unique_lock lock(impl_->stop_mutex);
+      impl_->stop_cv.wait_for(lock, period, [this] {
+        return impl_->stopping.load(std::memory_order_relaxed);
+      });
+    }
+    reap_app_threads();
+    drive_rounds();
+    if (impl_->stopping.load(std::memory_order_relaxed)) {
+      bool drained = false;
+      {
+        std::lock_guard lock(impl_->event_mutex);
+        drained = impl_->completions.empty();
+      }
+      if (drained && impl_->ready.size() == 0 &&
+          impl_->deferred_count.load(std::memory_order_relaxed) == 0) {
+        break;
+      }
+    }
+  }
+}
+
+void Runtime::process_completions(RoundHandoff& out) {
   // Drain the records under the leaf event lock, process them without it —
   // workers reporting further completions never wait on this loop's health
   // or lifecycle work.
@@ -55,18 +96,9 @@ void Runtime::process_completions() {
     std::lock_guard lock(impl_->event_mutex);
     batch.swap(impl_->completions);
   }
-  if (batch.empty()) {
-    // Still sweep API apps: an application main returning (main_done) is
-    // not a completion record but can finish the app.
-    finish_idle_api_apps();
-    return;
-  }
+  if (batch.empty()) return;
   Stopwatch overhead;
-  bool any_app_finished = false;
-  // Released tasks with a still-valid reservation bypass the ready queue:
-  // collected here per worker across the whole batch, dispatched with one
-  // push_batch per touched worker after the loop (no re-decision round).
-  std::vector<std::vector<std::shared_ptr<InFlightTask>>> reserved_batches;
+  std::vector<std::unique_ptr<AppInstance>> retired;
   sched::PolicyEngine& policy = impl_->policy;
   for (Impl::CompletionRecord& rec : batch) {
     // Every completion changes PE health or releases work: any blocked
@@ -183,10 +215,15 @@ void Runtime::process_completions() {
         }
         if (--app.tasks_remaining == 0) {
           finish_app_locked(app);
-          any_app_finished = true;
+          out.app_finished = true;
+          retire_app_locked(app.id, retired);
         }
-      } else {
-        --app.outstanding_kernels;
+      } else if (--app.outstanding_kernels == 0 && app.main_done) {
+        // main returned with this kernel outstanding (a _NB call): the app
+        // finishes with its last completion.
+        finish_app_locked(app);
+        out.app_finished = true;
+        if (app.thread_reaped) retire_app_locked(app.id, retired);
       }
     }
     for (auto& next : released) {
@@ -195,19 +232,20 @@ void Runtime::process_completions() {
       tracer_.flow(obs::EventKind::kFlowBegin, obs::Category::kApp,
                    next->name.c_str(), 1 + next->app_instance_id, 0,
                    next->enqueue_time, next->key);
-      // Honour a fresh lookahead reservation; otherwise — or when it has
-      // gone stale — the task takes the normal ready path and the next
-      // round re-decides it.
+      // Honour a fresh lookahead reservation: the task bypasses the ready
+      // queue into the round's dispatch batch for its reserved PE (no
+      // re-decision). Otherwise — or when it has gone stale — it takes the
+      // normal ready path and the next round re-decides it.
       if (lookahead_ != nullptr) {
         const sched::Honoured honoured = policy.honour(Impl::reservation_key(
             next->app_instance_id, next->dag_task_index));
         if (honoured.outcome == sched::Honoured::Outcome::kHit) {
           next->booked_s = honoured.estimate_s;
-          if (reserved_batches.empty()) {
-            reserved_batches.resize(impl_->workers.size());
-          }
-          reserved_batches[honoured.pe_index].push_back(std::move(next));
-          count("sched.reservation_hits");
+          tracer_.flow(obs::EventKind::kFlowStep, obs::Category::kSched,
+                       "dispatch_reserved", 0, 0, now(), next->key);
+          if (out.batches.empty()) out.batches.resize(impl_->workers.size());
+          out.batches[honoured.pe_index].push_back(std::move(next));
+          count(hot_.reservation_hits);
           continue;
         }
         if (honoured.outcome == sched::Honoured::Outcome::kStale) {
@@ -217,85 +255,63 @@ void Runtime::process_completions() {
       impl_->push_ready(std::move(next));
     }
   }
-  for (std::size_t pe = 0; pe < reserved_batches.size(); ++pe) {
-    auto& batch = reserved_batches[pe];
-    if (batch.empty()) continue;
-    for (const auto& task : batch) {
-      tracer_.flow(obs::EventKind::kFlowStep, obs::Category::kSched,
-                   "dispatch_reserved", 0, 0, now(), task->key);
-    }
-    impl_->workers[pe]->mailbox.push_batch(std::span(batch));
-  }
   impl_->avail_lead_s.store(policy.avail_lead(now()),
                             std::memory_order_relaxed);
-  if (finish_idle_api_apps()) any_app_finished = true;
   {
     std::lock_guard lock(impl_->app_mutex);
     impl_->runtime_overhead += overhead.elapsed();
   }
-  if (any_app_finished) impl_->app_done_cv.notify_all();
+  if (!retired.empty()) impl_->recycle_instances(retired);
 }
 
-bool Runtime::finish_idle_api_apps() {
-  // API applications finish when their main returned and no kernels remain.
-  // Exited app threads are reaped here: collected under the lifecycle lock,
-  // joined outside it.
-  //
-  // Finished instances are then erased from the map. Completion paths treat
-  // a missing id as finished, so the only thing lost is the name — saved
-  // aside for trace export when tracing is on, until the ring has
-  // overwritten the instance's spans. Without this, every
-  // lifecycle scan and the map itself grow with total submissions, which
-  // under a daemon taking tens of thousands of submissions per second
-  // turns this function into the scheduler's bottleneck within seconds.
-  bool any_finished = false;
+void Runtime::retire_app_locked(
+    std::uint64_t id, std::vector<std::unique_ptr<AppInstance>>& retired) {
+  // Completion paths treat a missing id as finished, so erasing loses only
+  // the name — saved aside for trace export while tracing, until the ring
+  // has overwritten the instance's spans. Without the erase, the map would
+  // grow with total submissions under a long-running daemon.
+  const auto it = impl_->apps.find(id);
+  auto& names = impl_->reaped_app_names;
+  const std::uint64_t recorded = tracer_.recorded();
+  if (config_.obs.tracing) {
+    names.push_back({.id = id, .name = it->second->name, .stamp = recorded});
+  }
+  while (!names.empty() &&
+         recorded - names.front().stamp >= tracer_.capacity()) {
+    names.pop_front();
+  }
+  // Recycled by the caller after app_mutex is released: pool_mutex is a
+  // leaf and must not nest inside it.
+  retired.push_back(std::move(it->second));
+  impl_->apps.erase(it);
+}
+
+void Runtime::reap_app_threads() {
+  // Collected under the lifecycle lock, joined outside it: each thread has
+  // already left its main function and touches its instance no more.
   std::vector<std::thread> exited;
-  std::vector<std::unique_ptr<AppInstance>> recycled;
+  std::vector<std::unique_ptr<AppInstance>> retired;
   {
     std::lock_guard lock(impl_->app_mutex);
-    for (auto it = impl_->apps.begin(); it != impl_->apps.end();) {
-      AppInstance& app = *it->second;
-      if (!app.is_dag) {
-        if (!app.finished && app.main_done.load(std::memory_order_acquire) &&
-            app.outstanding_kernels == 0) {
-          finish_app_locked(app);
-          any_finished = true;
-        }
-        if (app.thread_exited.load(std::memory_order_acquire) &&
-            app.app_thread.joinable()) {
-          exited.push_back(std::move(app.app_thread));
-          app.thread_reaped = true;
-        }
+    std::vector<std::uint64_t>& ids = impl_->exited_app_threads;
+    if (ids.empty()) return;
+    std::size_t kept = 0;
+    for (const std::uint64_t id : ids) {
+      // Unfinished or unclaimed instances are never erased, so `id` is live.
+      AppInstance& app = *impl_->apps.at(id);
+      if (!app.app_thread.joinable()) {
+        // The thread exited before submit_api stored its handle; next tick.
+        ids[kept++] = id;
+        continue;
       }
-      // Reap once finished and (for API apps) the thread has been claimed
-      // for joining — thread_exited alone is not enough, submit_api may not
-      // have move-assigned the handle yet. The join happens after the lock
-      // is released; nothing touches the instance after its thread exited.
-      if (app.finished && (app.is_dag || app.thread_reaped)) {
-        if (config_.obs.tracing) {
-          impl_->reaped_app_names.push_back(
-              {.id = it->first, .name = app.name, .stamp = tracer_.recorded()});
-        }
-        // Collect under the lock, recycle outside it: pool_mutex is a leaf
-        // and must not nest inside app_mutex.
-        recycled.push_back(std::move(it->second));
-        it = impl_->apps.erase(it);
-      } else {
-        ++it;
-      }
+      exited.push_back(std::move(app.app_thread));
+      app.thread_reaped = true;
+      if (app.finished) retire_app_locked(app.id, retired);
     }
-    // Forget names whose spans the ring has overwritten by now.
-    auto& reaped = impl_->reaped_app_names;
-    const std::uint64_t recorded = tracer_.recorded();
-    while (!reaped.empty() &&
-           recorded - reaped.front().stamp >= tracer_.capacity()) {
-      reaped.pop_front();
-    }
+    ids.resize(kept);
   }
   for (std::thread& t : exited) t.join();
-  if (!recycled.empty()) impl_->recycle_instances(recycled);
-  if (any_finished) impl_->app_done_cv.notify_all();
-  return any_finished;
+  if (!retired.empty()) impl_->recycle_instances(retired);
 }
 
 }  // namespace cedr::rt

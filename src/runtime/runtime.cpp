@@ -485,7 +485,12 @@ Status Runtime::shutdown() {
   if (flush_sampler_ != nullptr) flush_sampler_->stop();
   tracer_.instant(obs::Category::kRuntime, "runtime_shutdown", 0, 0, now());
   impl_->stopping.store(true, std::memory_order_release);
-  impl_->wake_main();
+  {
+    // Pairs with the main loop's predicate check: a stop between "predicate
+    // false" and "begin waiting" is never lost.
+    std::lock_guard lock(impl_->stop_mutex);
+  }
+  impl_->stop_cv.notify_all();
   if (impl_->main_thread.joinable()) impl_->main_thread.join();
   for (auto& worker : impl_->workers) {
     worker->mailbox.close();

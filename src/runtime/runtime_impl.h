@@ -5,29 +5,42 @@
 // Lock hierarchy (docs/scheduling.md) — acquire strictly downward, never
 // hold a lower lock while taking a higher one:
 //
+//   Owner    round_mutex   ownership of the next scheduling round: whoever
+//                          holds it drains completions and runs the round.
+//                          Only ever try-locked (drive_rounds), by the
+//                          publishers and by the main loop's tick
 //   Level 0  app_mutex     application lifecycle: apps map, instance ids,
 //                          accepting/started flags, runtime_overhead,
 //                          app_done_cv predicates
 //   Level 1  health_mutex  per-PE fault-tolerance state inside the policy
 //                          engine (quarantine, probe windows, consecutive
-//                          faults): the main loop takes it to change PE
+//                          faults): the round owner takes it to change PE
 //                          health, stats()/pe_health() to read it
-//   Leaves   event_mutex   completion records + main-loop wakeups
+//   Leaves   event_mutex   worker completion records
+//            stop_mutex    the main loop's tick sleep (shutdown wakes it)
 //            shard locks   inside ReadyQueueShards (one per PE class)
 //            plan_mutex    per-descriptor scheduling-plan cache (DagPlan)
 //            pool_mutex    recycled AppInstance freelist
 //            arena mutex   inside SlabArena (control-block freelists)
 //
-// The three new leaves are never held while taking any other lock: plan
-// lookups and misses run before the lifecycle lock is taken, instance
-// recycling runs after it is released, and the arena lock lives entirely
-// inside allocate/deallocate.
+// Leaves are never held while taking any other lock: plan lookups and
+// misses run before the lifecycle lock is taken, instance recycling runs
+// after it is released, and the arena lock lives entirely inside
+// allocate/deallocate.
 //
 // The rest of the policy engine (deferred retries, PE availability, the
-// reservation table) and the scheduler-blocked bookkeeping are touched only
-// by the main event-loop thread and need no lock at all — nor do the main
-// loop's own reads of PE health, since it is the only writer. Counters
-// crossing threads are plain atomics.
+// reservation table) and the scheduler-blocked bookkeeping are owner-private:
+// touched only while holding round_mutex, which orders successive owners, so
+// they need no lock of their own — nor do the owner's reads of PE health,
+// since only owners write it. Counters crossing threads are plain atomics.
+//
+// Hand-off rule: a publisher makes its work visible (shard push, completion
+// deposit), then calls drive_rounds(), which sets round_pending and
+// try-locks round_mutex. An owner clears round_pending before it drains, and
+// re-checks it after unlocking, so work published while a round ran is
+// picked up by that owner (or the next) even when its publisher lost the
+// try-lock and returned at once. What a round wakes (worker mailboxes,
+// app_done_cv waiters) is woken after the unlock (Runtime::RoundHandoff).
 
 #include <array>
 #include <atomic>
@@ -151,8 +164,8 @@ struct DagPlan {
 };
 
 /// A task in flight through the runtime (one DAG node or one API call).
-/// Retry state is only touched by the main event loop while the task is
-/// out of the ready queue, so it needs no lock.
+/// Retry state is only touched by the round owner while the task is out of
+/// the ready queue, so it needs no lock.
 struct Runtime::InFlightTask {
   std::uint64_t key = 0;  ///< unique per runtime
   std::uint64_t app_instance_id = 0;
@@ -194,15 +207,16 @@ struct Runtime::AppInstance {
   std::vector<std::array<task::TaskFn, platform::kNumPeClasses>> impls;
   std::size_t tasks_remaining = 0;
 
-  // API mode.
+  // API mode, all guarded by app_mutex. The app finishes where main_done
+  // and outstanding_kernels == 0 first hold together: at main's return, or
+  // at the completion of its last kernel.
   std::thread app_thread;
-  std::atomic<bool> main_done{false};
-  std::atomic<bool> thread_exited{false};
-  /// The reaper claimed `app_thread` for joining (app_mutex). Gates erasure:
-  /// `thread_exited` can be observed before the handle is move-assigned in
-  /// submit_api, so "not joinable" alone does not mean "safe to destroy".
+  bool main_done = false;
+  /// The reaper claimed `app_thread` for joining. Gates erasure: the thread
+  /// can exit before submit_api move-assigns the handle, so "not joinable"
+  /// alone does not mean "safe to destroy".
   bool thread_reaped = false;
-  std::int64_t outstanding_kernels = 0;  ///< guarded by app_mutex
+  std::int64_t outstanding_kernels = 0;
 
   /// Clears every field for freelist reuse, keeping vector/string
   /// capacities. The caller guarantees app_thread is not joinable (the
@@ -219,11 +233,21 @@ struct Runtime::AppInstance {
     remaining_preds.clear();
     impls.clear();
     tasks_remaining = 0;
-    main_done.store(false, std::memory_order_relaxed);
-    thread_exited.store(false, std::memory_order_relaxed);
+    main_done = false;
     thread_reaped = false;
     outstanding_kernels = 0;
   }
+};
+
+/// What an owned round leaves for after the ownership lock is released:
+/// the threads it wakes can preempt the waker, and a preempted owner would
+/// stall every publisher.
+struct Runtime::RoundHandoff {
+  /// Dispatch batches by PE index (sized on first use): one mailbox push
+  /// and one wakeup per worker per round.
+  std::vector<std::vector<std::shared_ptr<InFlightTask>>> batches;
+  /// An application finished: wake app_done_cv.
+  bool app_finished = false;
 };
 
 /// Emulated accelerator devices owned by one worker.
@@ -307,16 +331,26 @@ struct Runtime::Impl {
   /// name is dropped once the ring has recorded a full capacity of events
   /// since its stamp: every span of that instance has been overwritten by
   /// then, so the table stays bounded by the ring, not by total submissions.
-  /// `apps` itself holds live instances only — finished apps are erased by
-  /// the reaper so lifecycle scans and daemon memory stay bounded by the
-  /// in-flight population, not by total submissions since start.
+  /// `apps` itself holds live instances only — a finished app is erased as
+  /// soon as it is finished and (API mode) its thread is claimed for
+  /// joining, so daemon memory stays bounded by the in-flight population,
+  /// not by total submissions since start.
   std::deque<ReapedName> reaped_app_names;
+  /// API instances whose application thread returned and awaits a join by
+  /// the main loop's reaper (reap_app_threads).
+  std::vector<std::uint64_t> exited_app_threads;
   std::uint64_t next_instance_id = 1;  ///< app_mutex
   double runtime_overhead = 0.0;       ///< app_mutex
 
+  // --- Round ownership (above Level 0). ------------------------------------
+  std::mutex round_mutex;
+  /// Work was published that no round has drained yet (hand-off rule in the
+  /// header comment). Sequentially consistent on both sides of the lock.
+  std::atomic<bool> round_pending{false};
+
   // --- Level 1: PE health. -------------------------------------------------
   // The workers vector is fixed after start() and busy accounting is
-  // atomic. PE health lives in `policy`: changed by the main loop under
+  // atomic. PE health lives in `policy`: changed by the round owner under
   // health_mutex, read elsewhere under it.
   mutable std::mutex health_mutex;
   std::vector<std::unique_ptr<Worker>> workers;
@@ -324,9 +358,8 @@ struct Runtime::Impl {
   /// view, reservations (docs/scheduling.md "Policy engine").
   sched::PolicyEngine policy;
 
-  // --- Leaf: completion events + main-loop wakeups. ------------------------
+  // --- Leaf: worker completion records. -----------------------------------
   mutable std::mutex event_mutex;
-  std::condition_variable event_cv;  ///< wakes the main event loop
 
   /// One finished execution attempt, as reported by a worker thread.
   struct CompletionRecord {
@@ -400,11 +433,11 @@ struct Runtime::Impl {
   /// locks besides the plan-cache and arena leaves.
   StatusOr<PreparedDag> prepare_dag(Runtime& rt, DagSubmission submission);
 
-  // --- Main-loop private (no lock). ----------------------------------------
+  // --- Owner-private (round_mutex). ----------------------------------------
   /// Under fault injection a non-empty ready queue can be legitimately
   /// undispatchable (every capable PE quarantined, a probe already in
   /// flight, all retries backing off). Re-running the heuristic before
-  /// anything changed would busy-spin the event loop and flood the trace
+  /// anything changed would busy-spin rounds and flood the trace
   /// with empty rounds, so the round records *why* it is blocked: the state
   /// epoch it observed (bumped by every enqueue and completion) and the
   /// earliest timer (backoff release / probe window) that could unblock it.
@@ -419,7 +452,7 @@ struct Runtime::Impl {
     }
     return false;
   }
-  /// policy.avail_lead(), published by the main loop for stats readers.
+  /// policy.avail_lead(), published by the round owner for stats readers.
   std::atomic<double> avail_lead_s{0.0};
 
   /// Reservation key of a DAG task: (app instance, dag task index).
@@ -449,16 +482,12 @@ struct Runtime::Impl {
   std::atomic<std::uint64_t> submitted{0};
   std::atomic<std::uint64_t> completed{0};
 
+  /// The main loop sleeps one scheduler period per tick on stop_cv;
+  /// shutdown() wakes it early.
+  std::mutex stop_mutex;
+  std::condition_variable stop_cv;
   std::thread main_thread;
   Stopwatch epoch;
-
-  /// Wakes the main event loop. The empty critical section pairs with the
-  /// loop's predicate check so a wake between "predicate false" and "begin
-  /// waiting" is never lost.
-  void wake_main() {
-    { std::lock_guard lock(event_mutex); }
-    event_cv.notify_all();
-  }
 
   /// Classes with a bound implementation, or every class for impl-less
   /// timing studies.

@@ -3,14 +3,14 @@
 namespace cedr::trace {
 
 void CounterSet::add(const std::string& name, std::uint64_t delta) {
-  std::atomic<std::uint64_t>* counter = nullptr;
-  {
-    std::lock_guard lock(mutex_);
-    auto& slot = counters_[name];
-    if (!slot) slot = std::make_unique<std::atomic<std::uint64_t>>(0);
-    counter = slot.get();
-  }
-  counter->fetch_add(delta, std::memory_order_relaxed);
+  handle(name)->fetch_add(delta, std::memory_order_relaxed);
+}
+
+std::atomic<std::uint64_t>* CounterSet::handle(const std::string& name) {
+  std::lock_guard lock(mutex_);
+  auto& slot = counters_[name];
+  if (!slot) slot = std::make_unique<std::atomic<std::uint64_t>>(0);
+  return slot.get();
 }
 
 std::uint64_t CounterSet::get(const std::string& name) const {
@@ -38,7 +38,9 @@ json::Value CounterSet::to_json() const {
 
 void CounterSet::clear() {
   std::lock_guard lock(mutex_);
-  counters_.clear();
+  for (auto& [name, counter] : counters_) {
+    counter->store(0, std::memory_order_relaxed);
+  }
 }
 
 }  // namespace cedr::trace

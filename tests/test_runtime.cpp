@@ -9,7 +9,10 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "cedr/api/impls.h"
 #include "cedr/cedr.h"
@@ -578,6 +581,184 @@ TEST(RuntimeCounters, DisabledByConfiguration) {
   ASSERT_EQ(runtime.tracer().dropped(), 0u);
   EXPECT_EQ(trace::task_executions(runtime.tracer().snapshot()).size(), 1u);
   EXPECT_TRUE(runtime.counters().snapshot().empty());
+}
+
+}  // namespace
+}  // namespace cedr::rt
+
+namespace cedr::rt {
+namespace {
+
+// Round ownership (docs/scheduling.md "Round ownership"): the thread that
+// publishes work runs the round, so nothing may wait on the main loop's tick.
+
+/// A `length`-task chain of impl-less (no-op) tasks.
+std::shared_ptr<task::AppDescriptor> nop_chain(std::size_t length) {
+  auto chain = std::make_shared<task::AppDescriptor>();
+  chain->name = "chain";
+  for (task::TaskId id = 0; id < length; ++id) {
+    task::Task t;
+    t.id = id;
+    t.name = "nop";
+    EXPECT_TRUE(chain->graph.add_task(std::move(t)).ok());
+    if (id > 0) {
+      EXPECT_TRUE(chain->graph.add_edge(id - 1, id).ok());
+    }
+  }
+  return chain;
+}
+
+/// An API app main making `calls` blocking 64-point FFT calls, counting
+/// the successful ones in `ok`.
+std::function<void()> fft_calls(int calls, std::atomic<int>& ok) {
+  return [calls, &ok] {
+    std::vector<cedr_cplx> buf(64);
+    for (int i = 0; i < calls; ++i) {
+      if (CEDR_FFT(buf.data(), buf.data(), 64).ok()) ++ok;
+    }
+  };
+}
+
+TEST(RuntimeOwner, PublishersNeverWaitOnTheTick) {
+  // A 30 s period means the main loop's tick never fires during the test:
+  // every round has to be run by a publisher — an API app thread, a worker
+  // reporting completions, or a DAG submitter. A hand-off lost between a
+  // publisher and an owner leaves work stranded until the 5 s deadline.
+  RuntimeConfig config = small_config();
+  config.scheduler_period_s = 30.0;
+  Runtime runtime(config);
+  ASSERT_TRUE(runtime.start().ok());
+  constexpr int kApps = 4;
+  constexpr int kCalls = 100;
+  constexpr std::size_t kChains = 200;
+  constexpr std::size_t kChainTasks = 4;
+  std::atomic<int> calls_ok{0};
+  for (int a = 0; a < kApps; ++a) {
+    ASSERT_TRUE(runtime
+                    .submit_api("app" + std::to_string(a),
+                                fft_calls(kCalls, calls_ok))
+                    .ok());
+  }
+  const auto chain = nop_chain(kChainTasks);
+  std::vector<std::thread> submitters;
+  std::atomic<std::size_t> admitted{0};
+  for (int s = 0; s < 2; ++s) {
+    submitters.emplace_back([&runtime, &chain, &admitted] {
+      // 10 batches of 10 chains per thread.
+      for (int b = 0; b < 10; ++b) {
+        std::vector<DagSubmission> batch(
+            kChains / 20,
+            DagSubmission{.descriptor = chain,
+                          .impls = std::vector<api::ImplArray>(kChainTasks)});
+        for (const auto& result : runtime.submit_dag_batch(std::move(batch))) {
+          if (result.ok()) ++admitted;
+        }
+      }
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  EXPECT_EQ(admitted.load(), kChains);
+  ASSERT_TRUE(runtime.wait_all(5.0).ok())
+      << runtime.completed_apps() << " of " << runtime.submitted_apps()
+      << " instances completed";
+  EXPECT_EQ(calls_ok.load(), kApps * kCalls);
+  EXPECT_EQ(runtime.stats().tasks_executed,
+            static_cast<std::uint64_t>(kApps * kCalls) + kChains * kChainTasks);
+  EXPECT_TRUE(runtime.shutdown().ok());
+}
+
+TEST(RuntimeOwner, ApiAppFinishesAtItsLastNonBlockingCompletion) {
+  // main returns while its kernel is still running: the app must stay open
+  // until that kernel's completion is processed, and finish right then —
+  // with a 30 s period, not on a main-loop sweep.
+  RuntimeConfig config = small_config();
+  config.scheduler_period_s = 30.0;
+  Runtime runtime(config);
+  ASSERT_TRUE(runtime.start().ok());
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::atomic<bool> main_returned{false};
+  auto completion = std::make_shared<Completion>();
+  auto instance = runtime.submit_api("nb", [&] {
+    KernelRequest request;
+    request.name = "gated";
+    request.impls[static_cast<std::size_t>(platform::PeClass::kCpu)] =
+        [opened](task::ExecContext&) {
+          opened.wait();
+          return Status::Ok();
+        };
+    EXPECT_TRUE(runtime.enqueue_kernel(std::move(request), completion).ok());
+    main_returned = true;
+  });
+  ASSERT_TRUE(instance.ok());
+  for (int i = 0; i < 500 && !main_returned.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(main_returned.load());
+  EXPECT_EQ(runtime.wait_app(*instance, 0.1).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(runtime.completed_apps(), 0u);
+  gate.set_value();
+  EXPECT_TRUE(completion->wait_for(5.0).ok());
+  ASSERT_TRUE(runtime.wait_app(*instance, 5.0).ok());
+  EXPECT_EQ(runtime.completed_apps(), 1u);
+  EXPECT_TRUE(runtime.shutdown().ok());
+}
+
+TEST(RuntimeOwner, ConcurrentPublishersUnderTransientFaults) {
+  // Submitters, API app threads and workers all publish while a tenth of
+  // the attempts fail and are retried on a backoff that only the tick
+  // releases. Every instance completes, and every attempt is accounted
+  // for: one per task plus one per retry.
+  RuntimeConfig config = small_config();
+  config.fault_plan.seed = 33;
+  config.fault_plan.defaults.fail_prob = 0.1;
+  config.fault_plan.policy.max_retries = 8;
+  Runtime runtime(config);
+  ASSERT_TRUE(runtime.start().ok());
+  constexpr int kApps = 3;
+  constexpr int kCalls = 40;
+  constexpr std::size_t kChainTasks = 4;
+  constexpr int kSubmitters = 2;
+  constexpr int kBatches = 20;
+  constexpr std::size_t kBatch = 5;
+  std::atomic<int> calls_ok{0};
+  for (int a = 0; a < kApps; ++a) {
+    ASSERT_TRUE(runtime
+                    .submit_api("app" + std::to_string(a),
+                                fft_calls(kCalls, calls_ok))
+                    .ok());
+  }
+  const auto chain = nop_chain(kChainTasks);
+  // CPU-only implementations: failed-class narrowing must not steer an
+  // unconstrained GENERIC task onto the FFT class, which cannot run it.
+  const std::vector<api::ImplArray> cpu_impls(kChainTasks,
+                                              api::make_generic_impls({}));
+  std::vector<std::thread> submitters;
+  for (int s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&runtime, &chain, &cpu_impls] {
+      for (int b = 0; b < kBatches; ++b) {
+        std::vector<DagSubmission> batch(
+            kBatch, DagSubmission{.descriptor = chain, .impls = cpu_impls});
+        for (const auto& result : runtime.submit_dag_batch(std::move(batch))) {
+          EXPECT_TRUE(result.ok());
+        }
+      }
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  ASSERT_TRUE(runtime.wait_all(60.0).ok());
+  EXPECT_TRUE(runtime.shutdown().ok());
+  constexpr std::uint64_t kInstances = kApps + kSubmitters * kBatches * kBatch;
+  constexpr std::uint64_t kTasks =
+      kApps * kCalls + kSubmitters * kBatches * kBatch * kChainTasks;
+  EXPECT_EQ(runtime.completed_apps(), kInstances);
+  EXPECT_EQ(calls_ok.load(), kApps * kCalls);
+  EXPECT_EQ(runtime.counters().get("tasks_failed"), 0u);
+  EXPECT_GT(runtime.counters().get("tasks_retried"), 0u);
+  EXPECT_EQ(runtime.counters().get("tasks_executed"),
+            kTasks + runtime.counters().get("tasks_retried"));
+  EXPECT_EQ(runtime.stats().tasks_executed,
+            runtime.counters().get("tasks_executed"));
 }
 
 }  // namespace

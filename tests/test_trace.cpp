@@ -27,6 +27,27 @@ TEST(CounterSet, AddGetSnapshot) {
   EXPECT_EQ(counters.get("tasks"), 0u);
 }
 
+TEST(CounterSet, HandlesShareTheNamedCounterAndSurviveClear) {
+  CounterSet counters;
+  std::atomic<std::uint64_t>* hits = counters.handle("hits");
+  EXPECT_EQ(counters.handle("hits"), hits);
+  EXPECT_EQ(counters.snapshot().at("hits"), 0u);
+  hits->fetch_add(3);
+  counters.add("hits", 2);
+  EXPECT_EQ(counters.get("hits"), 5u);
+  counters.clear();
+  EXPECT_EQ(counters.get("hits"), 0u);
+  hits->fetch_add(1);
+  EXPECT_EQ(counters.get("hits"), 1u);
+
+  // A CachedCounter appears only once first bumped, like add().
+  CachedCounter lazy("lazy");
+  EXPECT_EQ(counters.snapshot().count("lazy"), 0u);
+  lazy.add(counters);
+  lazy.add(counters, 4);
+  EXPECT_EQ(counters.get("lazy"), 5u);
+}
+
 TEST(CounterSet, ConcurrentIncrementsAreExact) {
   CounterSet counters;
   constexpr int kThreads = 4;

@@ -23,7 +23,7 @@ BUILD_DIR="${ROOT}/build-${SANITIZER}"
 # record), the
 # online cost adaptation (concurrent observe + lock-free snapshot swap),
 # the scheduling layer (sharded ready queue with per-shard locks, and the
-# policy engine the runtime's main loop drives under its locks), the
+# policy engine driven by whichever thread owns the scheduling round), the
 # scenario harness (concurrent sweep execution over shared compiled state),
 # the shared-memory submission lane (SPSC rings with release/acquire
 # cursors shared across threads, doorbell arming, drain workers), and the
@@ -56,4 +56,12 @@ for test in "${TARGETS[@]}"; do
     status=1
   fi
 done
+
+# The round hand-off between publishers (app threads, workers, submitters)
+# and the owner only fails under particular interleavings: repeat its tests.
+echo "==== test_runtime RuntimeOwner.* x20 (${SANITIZER} sanitizer) ===="
+if ! "${BUILD_DIR}/tests/test_runtime" --gtest_filter='RuntimeOwner.*' \
+    --gtest_repeat=20; then
+  status=1
+fi
 exit ${status}
