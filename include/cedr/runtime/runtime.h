@@ -305,8 +305,9 @@ class Runtime {
   /// Never blocks on the ownership lock. A publishing `worker` runs no
   /// round while its own mailbox holds tasks.
   void drive_rounds(const Worker* worker = nullptr);
-  /// One owned round: drains completions, then schedules. Caller holds the
-  /// ownership lock, and passes `out` to hand_off() once it released it.
+  /// One owned round: drains the inbox (new tasks into the ready queue,
+  /// then completions), then schedules. Caller holds the ownership lock,
+  /// and passes `out` to hand_off() once it released it.
   void owner_round(RoundHandoff& out);
   void process_completions(RoundHandoff& out);
   void run_scheduling_round(RoundHandoff& out);

@@ -108,11 +108,12 @@ class PolicyEngine {
   FailureOutcome on_failure(std::size_t pe, RetryState& retry,
                             const std::shared_ptr<void>& task, double now);
   /// `impl_mask` narrowed away from classes that already failed the task,
-  /// unless that would leave no class present on the platform.
+  /// unless no present class left in it can run `kernel`.
   [[nodiscard]] std::uint32_t effective_mask(
-      std::uint32_t impl_mask, const RetryState& retry) const noexcept {
+      platform::KernelId kernel, std::uint32_t impl_mask,
+      const RetryState& retry) const noexcept {
     const std::uint32_t narrowed = impl_mask & ~retry.failed_class_mask;
-    return (narrowed & present_classes_) != 0 ? narrowed : impl_mask;
+    return placeable(kernel, narrowed) ? narrowed : impl_mask;
   }
   /// True when a PE class present on the platform both supports `kernel`
   /// and is in `impl_mask`. Otherwise no round can ever place the task.

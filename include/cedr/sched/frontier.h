@@ -5,7 +5,7 @@
 // predecessors have all completed. DAG applications expose much more — the
 // cached DagPlan skeleton knows every not-yet-ready successor, its HEFT
 // rank and its predecessor set. A `Frontier` widens one round's view to
-// that window: the ready snapshot first (so Assignment::queue_index keeps
+// that window: the ready tasks first (so Assignment::queue_index keeps
 // its meaning), then successors within a bounded lookahead depth whose
 // uncompleted predecessors are all inside the window.
 //
@@ -44,7 +44,7 @@
 
 namespace cedr::sched {
 
-/// One round's scheduling window: the ready snapshot plus not-yet-ready
+/// One round's scheduling window: the ready queue plus not-yet-ready
 /// successors within the lookahead depth. Built fresh each round (buffers
 /// are reused across reset() calls); not thread-safe.
 class Frontier {
@@ -54,7 +54,7 @@ class Frontier {
   void reset(std::span<PeState> pes, const ScheduleContext& ctx);
 
   /// Appends one ready task. All ready tasks must be added before any
-  /// lookahead task, in ready-snapshot order, so window indices below
+  /// lookahead task, in ready-queue order, so window indices below
   /// ready_count() coincide with Assignment::queue_index.
   void add_ready(const ReadyTask& view);
 

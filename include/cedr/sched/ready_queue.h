@@ -1,20 +1,16 @@
 #pragma once
-// Per-class sharded ready queue (docs/scheduling.md).
+// The ready queue (docs/scheduling.md "Ready queue").
 //
-// The scheduling core's shared state used to be one deque under one global
-// mutex; every submitter, the main event loop, and every stats poll
-// serialized on it. ReadyQueueShards splits the queue by *eligible PE
-// class*: a task whose effective class mask names exactly one class lives in
-// that class's shard, everything else (multi-class or unconstrained tasks)
-// lives in a shared overflow shard. Each shard has its own mutex, so
-// producers pushing work for disjoint classes never contend, and queue-depth
-// reads are lock-free atomics.
+// One FIFO of ready tasks, owned by whoever runs the scheduling round: the
+// threaded runtime's round owner (publishers hand their tasks to the
+// owner's inbox, never to the queue) or the single-threaded emulator. It
+// takes no lock. Views and payloads sit in two parallel vectors, so the
+// heuristics read the views span in place, and removal keeps push order.
 //
-// Determinism: every push stamps a monotonically increasing sequence number,
-// and snapshot() merges the shards back into global FIFO (push) order — the
-// exact order the legacy single deque presented. Both the threaded runtime
-// and the discrete-event emulator schedule from these snapshots, which is
-// how golden traces stay byte-identical across the shard refactor.
+// The only cross-thread reads are the depth counters: per-class depths
+// ("cpu", "fft", ..., and "multi" for tasks whose effective mask names
+// several classes or none) and the total. They are written by the owner
+// alone and loaded relaxed by stats readers.
 //
 // Payloads are opaque shared_ptrs (the runtime stores InFlightTask, the
 // emulator its SimTask) so the component lives in sched/ without depending
@@ -23,109 +19,70 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <span>
+#include <string_view>
 #include <vector>
 
-#include "cedr/obs/metrics.h"
 #include "cedr/sched/scheduler.h"
 
 namespace cedr::sched {
 
-class ReadyQueueShards {
+class ReadyQueue {
  public:
-  /// Shard index of multi-class / unconstrained tasks.
+  /// Depth index of multi-class / unconstrained tasks.
   static constexpr std::size_t kMultiShard = platform::kNumPeClasses;
   static constexpr std::size_t kShardCount = platform::kNumPeClasses + 1;
 
-  /// One queued task: the scheduler-facing view (class_mask already
-  /// narrowed to the effective eligibility), the caller's payload, and the
-  /// global FIFO position.
-  struct Entry {
-    ReadyTask view;
-    std::shared_ptr<void> payload;
-    std::uint64_t seq = 0;
-    std::uint8_t shard = 0;
-  };
-
-  /// A merged, globally FIFO-ordered copy of the queue, taken shard by
-  /// shard. `views[i]` mirrors `entries[i].view` so the heuristics get a
-  /// contiguous ReadyTask span without a second copy.
-  struct Snapshot {
-    std::vector<Entry> entries;
-    std::vector<ReadyTask> views;
-    [[nodiscard]] bool empty() const noexcept { return entries.empty(); }
-    [[nodiscard]] std::size_t size() const noexcept { return entries.size(); }
-  };
-
-  /// `lock_wait_us`, when non-null, records every *contended* shard-lock
-  /// acquisition's wait in microseconds (the `sched_lock_wait_us` histogram
-  /// of docs/observability.md). Uncontended acquisitions record nothing.
-  explicit ReadyQueueShards(
-      obs::QuantileHistogram* lock_wait_us = nullptr) noexcept
-      : lock_wait_us_(lock_wait_us) {}
-
-  ReadyQueueShards(const ReadyQueueShards&) = delete;
-  ReadyQueueShards& operator=(const ReadyQueueShards&) = delete;
-
-  /// Which shard an effective class mask routes to: single-class masks to
-  /// that class's shard, everything else to kMultiShard.
+  /// Which depth counter an effective class mask counts under: single-class
+  /// masks under that class, everything else under kMultiShard.
   [[nodiscard]] static std::size_t shard_for(
       std::uint32_t effective_mask) noexcept;
 
-  /// Enqueues one task. `view.class_mask` must already be the effective
-  /// mask (implementation classes, narrowed by failed classes with the
-  /// present-class fallback) — shard routing and the heuristics both read
-  /// it as-is.
+  /// Appends one task. `view.class_mask` must already be the effective
+  /// mask (implementation classes, narrowed by failed classes when the
+  /// narrowed mask can still be placed): the heuristics read it as-is.
   void push(const ReadyTask& view, std::shared_ptr<void> payload);
 
-  /// One enqueued-task request for push_batch.
-  struct PushItem {
-    ReadyTask view;
-    std::shared_ptr<void> payload;
-  };
+  /// Every queued task's scheduler view, in push order.
+  [[nodiscard]] std::span<const ReadyTask> views() const noexcept {
+    return views_;
+  }
+  /// The payload queued with views()[i].
+  [[nodiscard]] const std::shared_ptr<void>& payload(std::size_t i) const {
+    return payloads_[i];
+  }
 
-  /// Enqueues many tasks with one sequence-range reservation and at most one
-  /// lock acquisition per touched shard. Items land in global FIFO order
-  /// exactly as if push() had been called element by element, so a batch
-  /// submit of N head tasks is indistinguishable to the scheduler from N
-  /// singleton submits.
-  void push_batch(std::span<PushItem> items);
+  /// Removes the entries at `indices` (positions in views(), any order);
+  /// the rest keep their push order. Entries appended after the indices
+  /// were taken are untouched.
+  void remove(std::span<const std::size_t> indices);
 
-  /// Copies the whole queue in global FIFO order.
-  [[nodiscard]] Snapshot snapshot() const;
-
-  /// Removes previously snapshotted entries (matched by shard + seq);
-  /// entries pushed after the snapshot are untouched. Call after dispatch.
-  void remove(std::span<const Entry> taken);
-
-  /// Total queued tasks; lock-free.
+  /// Total queued tasks; any thread.
   [[nodiscard]] std::size_t size() const noexcept {
     return total_.load(std::memory_order_relaxed);
   }
 
-  /// Per-shard depths; lock-free. Index by PeClass, kMultiShard last.
+  /// Per-class depths; any thread. Index by PeClass, kMultiShard last.
   [[nodiscard]] std::array<std::size_t, kShardCount> depths() const noexcept;
 
-  /// Display name of one shard ("cpu", "fft", ..., "multi").
+  /// Display name of one depth counter ("cpu", "fft", ..., "multi").
   [[nodiscard]] static std::string_view shard_name(std::size_t shard) noexcept;
 
  private:
-  struct Shard {
-    mutable std::mutex mutex;
-    std::deque<Entry> entries;
-  };
+  /// Single-writer counter update: the owner is the only writer, so a
+  /// relaxed load and store suffice.
+  static void add(std::atomic<std::size_t>& counter, std::ptrdiff_t delta) {
+    counter.store(counter.load(std::memory_order_relaxed) +
+                      static_cast<std::size_t>(delta),
+                  std::memory_order_relaxed);
+  }
 
-  /// Locks a shard, timing the wait when the fast path loses the race.
-  [[nodiscard]] std::unique_lock<std::mutex> acquire(const Shard& s) const;
-
-  std::array<Shard, kShardCount> shards_;
-  std::atomic<std::uint64_t> next_seq_{0};
+  std::vector<ReadyTask> views_;
+  std::vector<std::shared_ptr<void>> payloads_;
+  std::vector<std::uint8_t> doomed_;  ///< remove() scratch
   std::atomic<std::size_t> total_{0};
   std::array<std::atomic<std::size_t>, kShardCount> depths_{};
-  obs::QuantileHistogram* lock_wait_us_ = nullptr;
 };
 
 }  // namespace cedr::sched

@@ -83,7 +83,7 @@ struct ScheduleResult {
 };
 
 /// Precomputed per-class candidate structure for one scheduling round
-/// (docs/scheduling.md). Built once from the merged ready snapshot, it gives
+/// (docs/scheduling.md). Built once from the ready queue's views, it gives
 /// every heuristic:
 ///
 ///   * per-task eligible-PE slot lists, so ineligible (task, PE) pairs are

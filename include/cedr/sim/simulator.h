@@ -116,8 +116,8 @@ struct SimMetrics {
   std::size_t sched_rounds = 0;
   std::size_t max_ready_queue = 0;
   /// Sum of per-round `comparisons` reported by the heuristic. This is the
-  /// exact decision-complexity count Fig. 7 is built from; the shard
-  /// refactor must keep it bit-identical for a given input.
+  /// exact decision-complexity count Fig. 7 is built from; changes to the
+  /// ready queue must keep it bit-identical for a given input.
   std::uint64_t total_comparisons = 0;
   double makespan = 0.0;               ///< completion of the last app
   double avg_execution_time = 0.0;     ///< per app, launch -> termination
@@ -179,10 +179,6 @@ struct SimConfig {
   /// the emulated ready queue, which is what bench/fig10_scalability tracks
   /// across PRs (BENCH_fig10.json).
   obs::QuantileHistogram* sched_decision_us = nullptr;
-  /// Optional wall-clock histogram of contended ready-queue shard lock
-  /// waits, in microseconds (docs/scheduling.md). Zero contention in the
-  /// single-threaded emulator; wired so sim and runtime share plumbing.
-  obs::QuantileHistogram* sched_lock_wait_us = nullptr;
   /// Optional *virtual-clock* histograms (microseconds), the deterministic
   /// counterparts of the runtime's queue_delay_us / service_time_us /
   /// sched_decision_us metrics: ready->dispatch wait, dispatch->completion

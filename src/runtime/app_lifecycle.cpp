@@ -1,9 +1,9 @@
 // Application lifecycle: submissions (DAG and API mode), enqueue_kernel,
 // app completion bookkeeping and the wait_* entry points. All lifecycle
 // state lives under Impl::app_mutex (Level 0 of the lock hierarchy,
-// runtime_impl.h); ready-queue pushes go through the sharded queue's own
-// leaf locks after the lifecycle lock is released, so submitters never
-// serialize against the scheduling round.
+// runtime_impl.h). Newly ready tasks go to the round inbox (the leaf
+// event_mutex) after the lifecycle lock is released; the round owner moves
+// them into the ready queue, so submitters never wait on a round.
 
 #include <chrono>
 #include <cmath>
@@ -190,9 +190,9 @@ std::vector<StatusOr<std::uint64_t>> Runtime::submit_dag_batch(
     }
   }
 
-  // Phase 3 — trace arrivals and batch-push every head task: one sequence
-  // reservation and one lock per touched shard for the whole batch.
-  std::vector<sched::ReadyQueueShards::PushItem> items;
+  // Phase 3 — trace arrivals and stamp every head task, then hand them all
+  // to the round inbox under one lock hold.
+  std::vector<std::shared_ptr<InFlightTask>> heads;
   for (std::size_t i = 0; i < prepared.size(); ++i) {
     if (!prepared[i].ok() || !accepting) continue;
     const std::uint64_t id = ids[i];
@@ -208,12 +208,12 @@ std::vector<StatusOr<std::uint64_t>> Runtime::submit_dag_batch(
       tracer_.flow(obs::EventKind::kFlowBegin, obs::Category::kApp,
                    inflight->name.c_str(), 1 + id, 0, inflight->enqueue_time,
                    inflight->key);
-      items.push_back(impl_->ready_item(std::move(inflight)));
+      heads.push_back(std::move(inflight));
     }
   }
-  if (!items.empty()) {
-    impl_->ready.push_batch(items);
-    impl_->sched_epoch.fetch_add(1, std::memory_order_relaxed);
+  if (!heads.empty()) {
+    const auto lock = impl_->lock_inbox();
+    for (auto& head : heads) impl_->arrivals.push_back(std::move(head));
   }
   if (accepting && instantiate_us_ != nullptr && ok_count != 0) {
     const double per_instance_us =
@@ -225,7 +225,7 @@ std::vector<StatusOr<std::uint64_t>> Runtime::submit_dag_batch(
 
   // After the accounting above, so instantiate_us stays the submission's
   // own cost and excludes the round this thread may now own.
-  if (!items.empty()) drive_rounds();
+  if (!heads.empty()) drive_rounds();
 
   results.reserve(prepared.size());
   for (std::size_t i = 0; i < prepared.size(); ++i) {
@@ -358,12 +358,13 @@ Status Runtime::enqueue_kernel(KernelRequest request, CompletionPtr completion) 
                inflight->name.c_str(), 1 + binding.instance_id, 0,
                inflight->enqueue_time, inflight->key);
   // "Pushing tasks to the ready queue ... is handled by the application
-  // thread" in API-based CEDR (paper §IV-A) — this push is on the app
-  // thread, not the main loop. It takes only the task's shard lock, so
-  // concurrent app threads enqueueing for different PE classes don't
-  // contend with each other or with the round owner.
-  impl_->push_ready(std::move(inflight));
-  impl_->sched_epoch.fetch_add(1, std::memory_order_relaxed);
+  // thread" in API-based CEDR (paper §IV-A) — this hand-off is on the app
+  // thread, not the main loop. It takes only the inbox lock, never waiting
+  // on a round: the owner moves the task into the ready queue.
+  {
+    const auto lock = impl_->lock_inbox();
+    impl_->arrivals.push_back(std::move(inflight));
+  }
   count(hot_.kernels_enqueued);
   // Fig. 4's hand-off minus the main-loop hop: unless another thread owns
   // the round, this app thread dispatches its own call.

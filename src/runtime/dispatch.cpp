@@ -1,13 +1,12 @@
-// Scheduling rounds and worker threads: snapshot the sharded ready queue,
-// run the configured heuristic, dispatch assignments to per-worker
-// mailboxes in batches (one wakeup per worker per round), and execute
-// tasks on the emulated PEs.
+// Scheduling rounds and worker threads: run the configured heuristic over
+// the ready queue, dispatch assignments to per-worker mailboxes in batches
+// (one wakeup per worker per round), and execute tasks on the emulated PEs.
 //
 // The round runs on whichever thread owns it (round_mutex, see
-// drive_rounds): the queue snapshot takes per-shard leaf locks, probe
-// dispatch changes PE health under health_mutex, and everything else it
-// touches is owner-private (runtime_impl.h). Probe admission, availability,
-// the cost view and reservations come from the policy engine.
+// drive_rounds): probe dispatch changes PE health under health_mutex, and
+// everything else it touches, the ready queue included, is owner-private
+// (runtime_impl.h). Probe admission, availability, the cost view and
+// reservations come from the policy engine.
 
 #include <algorithm>
 #include <chrono>
@@ -20,21 +19,18 @@
 namespace cedr::rt {
 
 void Runtime::run_scheduling_round(RoundHandoff& out) {
-  // A blocked round stays blocked until new work / a completion bumps the
-  // epoch or the earliest unblocking timer (backoff release, probe window)
-  // passes; re-running the heuristic before then cannot dispatch anything.
+  // A blocked round stays blocked until the inbox brings an arrival or a
+  // completion (owner_round clears the flag) or the earliest unblocking
+  // timer (backoff release, probe window) passes; re-running the heuristic
+  // before then cannot dispatch anything.
   if (impl_->sched_blocked) {
-    if (impl_->sched_epoch.load(std::memory_order_relaxed) ==
-            impl_->sched_blocked_epoch &&
-        now() < impl_->sched_blocked_until) {
-      return;
-    }
+    if (now() < impl_->sched_blocked_until) return;
     impl_->sched_blocked = false;
   }
   // Release deferred retries whose backoff has elapsed. The re-push
   // recomputes the effective class mask, so the retry's failed-class
-  // narrowing takes effect on its new shard placement. Each re-enqueue
-  // opens a new flow, so the stream gives every attempt its own enqueue.
+  // narrowing takes effect in this round. Each re-enqueue opens a new
+  // flow, so the stream gives every attempt its own enqueue.
   sched::PolicyEngine& policy = impl_->policy;
   if (policy.deferred_count() != 0) {
     const double release_now = now();
@@ -49,15 +45,10 @@ void Runtime::run_scheduling_round(RoundHandoff& out) {
     impl_->deferred_count.store(policy.deferred_count(),
                                 std::memory_order_relaxed);
   }
-  if (impl_->ready.size() == 0) return;
-
-  // Epoch to blame a blocked round on — captured *before* the snapshot so
-  // a task pushed while the round runs (missing from the snapshot, bumping
-  // the epoch) always unblocks the next round.
-  const std::uint64_t pre_snapshot_epoch =
-      impl_->sched_epoch.load(std::memory_order_acquire);
-  const sched::ReadyQueueShards::Snapshot snap = impl_->ready.snapshot();
-  if (snap.empty()) return;
+  // Nothing enters the queue while the round runs: arrivals wait in the
+  // inbox for the next owner, so the heuristics read the views in place.
+  const std::span<const sched::ReadyTask> ready = impl_->ready.views();
+  if (ready.empty()) return;
 
   const double t_now = now();
   const std::span<sched::PeState> pe_states = policy.round_pes(t_now);
@@ -72,12 +63,12 @@ void Runtime::run_scheduling_round(RoundHandoff& out) {
   double decision_time = 0.0;
   if (lookahead_ != nullptr) {
     // Frontier round (docs/scheduling.md "Lookahead rounds"): widen the
-    // snapshot into the visible DAG window, place it in one pass, dispatch
-    // the ready prefix now and remember the rest as reservations.
+    // ready queue into the visible DAG window, place it in one pass,
+    // dispatch the ready prefix now and remember the rest as reservations.
     Stopwatch round_watch;
-    sched::Frontier& frontier = policy.open_window(snap.views, ctx);
+    sched::Frontier& frontier = policy.open_window(ready, ctx);
     if (config_.lookahead_depth > 0) {
-      impl_->build_lookahead_window(*this, snap, t_now);
+      impl_->build_lookahead_window(*this, t_now);
     }
     Stopwatch decision;
     sched::FrontierResult window = lookahead_->schedule_window(frontier);
@@ -91,7 +82,7 @@ void Runtime::run_scheduling_round(RoundHandoff& out) {
     lookahead_round_us_->record(round_watch.elapsed_us());
   } else {
     Stopwatch decision;
-    result = scheduler_->schedule(snap.views, pe_states, ctx);
+    result = scheduler_->schedule(ready, pe_states, ctx);
     decision_time = decision.elapsed();
   }
   policy.commit_round(result.assignments);
@@ -100,7 +91,7 @@ void Runtime::run_scheduling_round(RoundHandoff& out) {
   sched_decision_us_->record(decision_time * 1e6);
   tracer_.complete_span(obs::Category::kSched, sched_span_name_.c_str(), 0, 0,
                         t_now, decision_time, "ready",
-                        static_cast<double>(snap.size()), "assigned",
+                        static_cast<double>(ready.size()), "assigned",
                         static_cast<double>(result.assignments.size()));
   count(hot_.sched_rounds);
   count(hot_.sched_comparisons, result.comparisons);
@@ -111,7 +102,7 @@ void Runtime::run_scheduling_round(RoundHandoff& out) {
   // The batches are pushed by hand_off() once the round is released: one
   // mailbox lock and one wakeup per worker per round.
   if (out.batches.empty()) out.batches.resize(impl_->workers.size());
-  std::vector<sched::ReadyQueueShards::Entry> taken;
+  std::vector<std::size_t> taken;
   taken.reserve(result.assignments.size());
   {
     std::lock_guard health(impl_->health_mutex);
@@ -122,27 +113,27 @@ void Runtime::run_scheduling_round(RoundHandoff& out) {
         continue;
       }
       if (gate == sched::DispatchGate::kProbe) count("probes_dispatched");
-      const sched::ReadyQueueShards::Entry& entry = snap.entries[a.queue_index];
-      auto task = std::static_pointer_cast<InFlightTask>(entry.payload);
+      auto task = std::static_pointer_cast<InFlightTask>(
+          impl_->ready.payload(a.queue_index));
       task->booked_s = a.estimate_s;
       out.batches[a.pe_index].push_back(std::move(task));
-      taken.push_back(entry);
+      taken.push_back(a.queue_index);
     }
   }
-  // Remove before dispatching so a task is never simultaneously queued and
-  // executing; entries pushed since the snapshot are untouched.
-  impl_->ready.remove(taken);
-  const std::size_t dispatched = taken.size();
-  for (const sched::ReadyQueueShards::Entry& entry : taken) {
+  for (const std::size_t i : taken) {
     tracer_.flow(obs::EventKind::kFlowStep, obs::Category::kSched, "dispatch",
                  0, 0, now(),
-                 static_cast<const InFlightTask*>(entry.payload.get())->key);
+                 static_cast<const InFlightTask*>(impl_->ready.payload(i).get())
+                     ->key);
   }
-  if (dispatched == 0 && impl_->ready.size() != 0) {
-    // Nothing moved: block further rounds until the state epoch changes or
-    // the earliest timer that could free a PE / release a retry fires.
+  // Removed before hand_off() pushes the batches, so a task is never
+  // simultaneously queued and executing.
+  impl_->ready.remove(taken);
+  if (taken.empty()) {
+    // Nothing moved: block further rounds until the inbox brings an arrival
+    // or a completion, or the earliest timer that could free a PE / release
+    // a retry fires.
     impl_->sched_blocked = true;
-    impl_->sched_blocked_epoch = pre_snapshot_epoch;
     impl_->sched_blocked_until =
         std::min(policy.next_release(), policy.next_probe());
     if (result.assignments.empty() &&
@@ -154,9 +145,9 @@ void Runtime::run_scheduling_round(RoundHandoff& out) {
       count("sched.unplaceable_rounds");
       if (!impl_->unplaceable_warned) {
         impl_->unplaceable_warned = true;
-        const sched::ReadyTask& head = snap.views.front();
+        const sched::ReadyTask& head = ready.front();
         CEDR_LOG(kWarn, kLogTag)
-            << "scheduling round placed none of " << snap.size()
+            << "scheduling round placed none of " << ready.size()
             << " ready tasks with no retry or probe pending (first: "
             << platform::kernel_name(head.kernel) << ", size "
             << head.problem_size
@@ -166,8 +157,7 @@ void Runtime::run_scheduling_round(RoundHandoff& out) {
   }
 }
 
-void Runtime::Impl::build_lookahead_window(
-    Runtime& rt, const sched::ReadyQueueShards::Snapshot& snap, double t_now) {
+void Runtime::Impl::build_lookahead_window(Runtime& rt, double t_now) {
   // Level-by-level BFS from the ready DAG tasks over each app's cached
   // DagPlan. A successor joins the window only when *every* uncompleted
   // predecessor is already inside it (in-window predecessor count ==
@@ -187,9 +177,8 @@ void Runtime::Impl::build_lookahead_window(
   std::vector<LevelItem> next;
   std::vector<std::size_t> pred_window;
   std::lock_guard lock(app_mutex);
-  for (std::size_t i = 0; i < snap.entries.size(); ++i) {
-    const auto* task =
-        static_cast<const InFlightTask*>(snap.entries[i].payload.get());
+  for (std::size_t i = 0; i < ready.views().size(); ++i) {
+    const auto* task = static_cast<const InFlightTask*>(ready.payload(i).get());
     if (!task->is_dag) continue;
     const auto it = apps.find(task->app_instance_id);
     if (it == apps.end()) continue;

@@ -5,9 +5,10 @@
 // state transitions; the scheduling round itself lives in dispatch.cpp.
 //
 // Locking (runtime_impl.h): rounds run under round_mutex, taken by whichever
-// thread published the work. Completion records are drained under the leaf
-// event_mutex, then processed with health_mutex (PE health) and app_mutex
-// (lifecycle) taken separately and never together with event_mutex held.
+// thread published the work. The inbox (newly ready tasks and completion
+// records) is drained under the leaf event_mutex, then processed with
+// health_mutex (PE health) and app_mutex (lifecycle) taken separately and
+// never together with event_mutex held.
 
 #include <chrono>
 #include <utility>
@@ -41,9 +42,21 @@ void Runtime::drive_rounds(const Worker* worker) {
 }
 
 void Runtime::owner_round(RoundHandoff& out) {
+  Impl& impl = *impl_;
   // Cleared before draining: anything published from here on sets it again
   // and is picked up by the caller's re-check.
-  impl_->round_pending.store(false);
+  impl.round_pending.store(false);
+  {
+    const auto lock = impl.lock_inbox();
+    impl.drained_completions.swap(impl.completions);
+    impl.drained_arrivals.swap(impl.arrivals);
+  }
+  // New work or a changed PE: a blocked round may be able to place now.
+  if (!impl.drained_completions.empty() || !impl.drained_arrivals.empty()) {
+    impl.sched_blocked = false;
+  }
+  for (auto& task : impl.drained_arrivals) impl.push_ready(std::move(task));
+  impl.drained_arrivals.clear();
   process_completions(out);
   run_scheduling_round(out);
 }
@@ -74,13 +87,13 @@ void Runtime::main_loop() {
     reap_app_threads();
     drive_rounds();
     if (impl_->stopping.load(std::memory_order_relaxed)) {
-      bool drained = false;
-      {
-        std::lock_guard lock(impl_->event_mutex);
-        drained = impl_->completions.empty();
-      }
-      if (drained && impl_->ready.size() == 0 &&
-          impl_->deferred_count.load(std::memory_order_relaxed) == 0) {
+      // Checked while owning the round: an owner between its inbox drain
+      // and its pushes would show an empty inbox and an empty queue.
+      std::unique_lock owner(impl_->round_mutex, std::try_to_lock);
+      if (!owner.owns_lock()) continue;
+      const auto lock = impl_->lock_inbox();
+      if (impl_->completions.empty() && impl_->arrivals.empty() &&
+          impl_->ready.size() == 0 && impl_->policy.deferred_count() == 0) {
         break;
       }
     }
@@ -88,22 +101,15 @@ void Runtime::main_loop() {
 }
 
 void Runtime::process_completions(RoundHandoff& out) {
-  // Drain the records under the leaf event lock, process them without it —
-  // workers reporting further completions never wait on this loop's health
-  // or lifecycle work.
-  std::deque<Impl::CompletionRecord> batch;
-  {
-    std::lock_guard lock(impl_->event_mutex);
-    batch.swap(impl_->completions);
-  }
+  // The records owner_round drained from the inbox, processed without the
+  // inbox lock: workers reporting further completions never wait on this
+  // round's health or lifecycle work.
+  std::vector<Impl::CompletionRecord>& batch = impl_->drained_completions;
   if (batch.empty()) return;
   Stopwatch overhead;
   std::vector<std::unique_ptr<AppInstance>> retired;
   sched::PolicyEngine& policy = impl_->policy;
   for (Impl::CompletionRecord& rec : batch) {
-    // Every completion changes PE health or releases work: any blocked
-    // scheduling state is stale now.
-    impl_->sched_epoch.fetch_add(1, std::memory_order_relaxed);
     std::shared_ptr<InFlightTask> inflight = std::move(rec.task);
     const Status status = std::move(rec.status);
     const Worker& worker = *impl_->workers[rec.pe_index];
@@ -181,9 +187,8 @@ void Runtime::process_completions(RoundHandoff& out) {
 
     // --- Application bookkeeping: successor release / finish. --------------
     // DAG successors are built under app_mutex (they read per-instance
-    // state) and pushed to the shards afterwards — shard locks are leaves
-    // and must not nest inside, but pushing outside keeps the lifecycle
-    // lock narrow anyway.
+    // state) and queued after it is released, to keep the lifecycle lock
+    // narrow.
     std::vector<std::shared_ptr<InFlightTask>> released;
     {
       std::lock_guard lock(impl_->app_mutex);
@@ -255,6 +260,7 @@ void Runtime::process_completions(RoundHandoff& out) {
       impl_->push_ready(std::move(next));
     }
   }
+  batch.clear();
   impl_->avail_lead_s.store(policy.avail_lead(now()),
                             std::memory_order_relaxed);
   {

@@ -163,8 +163,8 @@ Runtime::Runtime(RuntimeConfig config)
   retry_latency_us_ = &metrics_.histogram("retry_latency_us");
   app_exec_us_ = &metrics_.histogram("app_exec_us");
   sched_span_name_ = "sched " + config_.scheduler;
-  // The sharded ready queue times contended shard-lock acquisitions into
-  // this histogram (docs/observability.md); metrics_ outlives impl_.
+  // The round inbox times contended acquisitions of its lock into this
+  // histogram (docs/observability.md); metrics_ outlives impl_.
   impl_ = std::make_unique<Impl>(&metrics_.histogram("sched_lock_wait_us"),
                                  config_);
 }
@@ -373,7 +373,7 @@ Status Runtime::start() {
          prev_t = 0.0](double) mutable {
           const double t = now();
           const double interval = t - prev_t;
-          // Queue depths are lock-free atomics; per-shard depths expose
+          // Queue depths are lock-free atomics; per-class depths expose
           // where ready work is class-constrained (docs/observability.md).
           const auto depths = impl_->ready.depths();
           const std::size_t ready = impl_->ready.size();
@@ -387,11 +387,10 @@ Status Runtime::start() {
           metrics_.set_gauge(
               "sched.avail_lead_s",
               impl_->avail_lead_s.load(std::memory_order_relaxed));
-          for (std::size_t s = 0; s < sched::ReadyQueueShards::kShardCount;
-               ++s) {
+          for (std::size_t s = 0; s < sched::ReadyQueue::kShardCount; ++s) {
             metrics_.set_gauge(
                 "ready_queue_depth." +
-                    std::string(sched::ReadyQueueShards::shard_name(s)),
+                    std::string(sched::ReadyQueue::shard_name(s)),
                 static_cast<double>(depths[s]));
           }
           metrics_.sample("ready_queue_depth", t, static_cast<double>(ready));

@@ -5,10 +5,11 @@
 // Lock hierarchy (docs/scheduling.md) — acquire strictly downward, never
 // hold a lower lock while taking a higher one:
 //
-//   Owner    round_mutex   ownership of the next scheduling round: whoever
-//                          holds it drains completions and runs the round.
-//                          Only ever try-locked (drive_rounds), by the
-//                          publishers and by the main loop's tick
+//   Owner    round_mutex   ownership of the next scheduling round and of the
+//                          ready queue: whoever holds it drains the inbox
+//                          and runs the round. Only ever try-locked
+//                          (drive_rounds), by the publishers and by the
+//                          main loop's tick
 //   Level 0  app_mutex     application lifecycle: apps map, instance ids,
 //                          accepting/started flags, runtime_overhead,
 //                          app_done_cv predicates
@@ -16,9 +17,9 @@
 //                          engine (quarantine, probe windows, consecutive
 //                          faults): the round owner takes it to change PE
 //                          health, stats()/pe_health() to read it
-//   Leaves   event_mutex   worker completion records
+//   Leaves   event_mutex   round inbox: completion records and newly ready
+//                          tasks
 //            stop_mutex    the main loop's tick sleep (shutdown wakes it)
-//            shard locks   inside ReadyQueueShards (one per PE class)
 //            plan_mutex    per-descriptor scheduling-plan cache (DagPlan)
 //            pool_mutex    recycled AppInstance freelist
 //            arena mutex   inside SlabArena (control-block freelists)
@@ -28,19 +29,21 @@
 // after it is released, and the arena lock lives entirely inside
 // allocate/deallocate.
 //
-// The rest of the policy engine (deferred retries, PE availability, the
-// reservation table) and the scheduler-blocked bookkeeping are owner-private:
-// touched only while holding round_mutex, which orders successive owners, so
-// they need no lock of their own — nor do the owner's reads of PE health,
-// since only owners write it. Counters crossing threads are plain atomics.
+// The ready queue, the rest of the policy engine (deferred retries, PE
+// availability, the reservation table) and the scheduler-blocked bookkeeping
+// are owner-private: touched only while holding round_mutex, which orders
+// successive owners, so they need no lock of their own — nor do the owner's
+// reads of PE health, since only owners write it. Counters crossing threads
+// (the queue depths included) are plain atomics.
 //
-// Hand-off rule: a publisher makes its work visible (shard push, completion
-// deposit), then calls drive_rounds(), which sets round_pending and
-// try-locks round_mutex. An owner clears round_pending before it drains, and
-// re-checks it after unlocking, so work published while a round ran is
-// picked up by that owner (or the next) even when its publisher lost the
-// try-lock and returned at once. What a round wakes (worker mailboxes,
-// app_done_cv waiters) is woken after the unlock (Runtime::RoundHandoff).
+// Hand-off rule: a publisher deposits its work in the inbox (newly ready
+// tasks, completion records), then calls drive_rounds(), which sets
+// round_pending and try-locks round_mutex. An owner clears round_pending
+// before it drains, and re-checks it after unlocking, so work published
+// while a round ran is picked up by that owner (or the next) even when its
+// publisher lost the try-lock and returned at once. What a round wakes
+// (worker mailboxes, app_done_cv waiters) is woken after the unlock
+// (Runtime::RoundHandoff).
 
 #include <array>
 #include <atomic>
@@ -297,14 +300,14 @@ struct Runtime::Worker {
 };
 
 struct Runtime::Impl {
-  Impl(obs::QuantileHistogram* lock_wait_us, const RuntimeConfig& config)
+  Impl(obs::QuantileHistogram* inbox_wait_us, const RuntimeConfig& config)
       : policy(config.platform.pes, config.fault_plan.policy,
                &config.platform.costs),
-        ready(lock_wait_us) {}
+        inbox_wait_us(inbox_wait_us) {}
 
   // --- Slab arena: declared FIRST so it is destroyed LAST — every
-  // InFlightTask control block below (ready shards, deferred, completions,
-  // worker mailboxes, apps) returns to it on destruction. -------------------
+  // InFlightTask control block below (ready queue, deferred, inbox, worker
+  // mailboxes, apps) returns to it on destruction. --------------------------
   SlabArena arena;
 
   /// Allocates an InFlightTask whose shared control block lives in (and
@@ -358,8 +361,12 @@ struct Runtime::Impl {
   /// view, reservations (docs/scheduling.md "Policy engine").
   sched::PolicyEngine policy;
 
-  // --- Leaf: worker completion records. -----------------------------------
+  // --- Leaf: the round inbox. ----------------------------------------------
+  // Publishers deposit here and never touch the ready queue; each owned
+  // round swaps both lists out in one lock hold (Runtime::owner_round).
   mutable std::mutex event_mutex;
+  /// The `sched_lock_wait_us` histogram: contended event_mutex waits.
+  obs::QuantileHistogram* inbox_wait_us = nullptr;
 
   /// One finished execution attempt, as reported by a worker thread.
   struct CompletionRecord {
@@ -368,10 +375,21 @@ struct Runtime::Impl {
     std::size_t pe_index = 0;
     double ran_s = 0.0;  ///< execution time on the PE
   };
-  std::deque<CompletionRecord> completions;  ///< event_mutex
+  std::vector<CompletionRecord> completions;  ///< event_mutex
+  /// Stamped tasks (key, enqueue_time, flow begin) from submitters and API
+  /// calls, not yet in the ready queue.
+  std::vector<std::shared_ptr<InFlightTask>> arrivals;  ///< event_mutex
 
-  // --- Leaf: the sharded ready queue (its own per-class locks). ------------
-  sched::ReadyQueueShards ready;
+  /// Locks the inbox, timing the wait when the fast path loses the race.
+  [[nodiscard]] std::unique_lock<std::mutex> lock_inbox() const {
+    std::unique_lock lock(event_mutex, std::try_to_lock);
+    if (!lock.owns_lock()) {
+      Stopwatch wait;
+      lock.lock();
+      if (inbox_wait_us != nullptr) inbox_wait_us->record(wait.elapsed_us());
+    }
+    return lock;
+  }
 
   // --- Leaf: per-descriptor scheduling-plan cache. -------------------------
   // Keyed by descriptor address; each cached plan anchors its descriptor so
@@ -434,15 +452,21 @@ struct Runtime::Impl {
   StatusOr<PreparedDag> prepare_dag(Runtime& rt, DagSubmission submission);
 
   // --- Owner-private (round_mutex). ----------------------------------------
+  /// The ready queue: only the owner pushes, reads and removes; other
+  /// threads load its depth counters.
+  sched::ReadyQueue ready;
+  /// The inbox lists of the round being run, swapped out of the inbox (their
+  /// capacity goes back to it at the next swap).
+  std::vector<CompletionRecord> drained_completions;
+  std::vector<std::shared_ptr<InFlightTask>> drained_arrivals;
   /// Under fault injection a non-empty ready queue can be legitimately
   /// undispatchable (every capable PE quarantined, a probe already in
   /// flight, all retries backing off). Re-running the heuristic before
-  /// anything changed would busy-spin rounds and flood the trace
-  /// with empty rounds, so the round records *why* it is blocked: the state
-  /// epoch it observed (bumped by every enqueue and completion) and the
-  /// earliest timer (backoff release / probe window) that could unblock it.
+  /// anything changed would busy-spin rounds and flood the trace with empty
+  /// rounds, so a round that moved nothing blocks rounds until the inbox
+  /// brings an arrival or a completion, or until the earliest timer
+  /// (backoff release / probe window) that could unblock it.
   bool sched_blocked = false;
-  std::uint64_t sched_blocked_epoch = 0;
   double sched_blocked_until = 0.0;
   /// Set once the first unplaceable round has been logged.
   bool unplaceable_warned = false;
@@ -465,17 +489,14 @@ struct Runtime::Impl {
   }
   std::unordered_map<std::uint64_t, std::size_t> window_of;  ///< build scratch
 
-  /// Widens the current round's window beyond the ready snapshot: BFS over
+  /// Widens the current round's window beyond the ready queue: BFS over
   /// each ready DAG task's cached plan, admitting a successor once every
   /// uncompleted predecessor is inside the window, up to
   /// RuntimeConfig::lookahead_depth generations. Defined in dispatch.cpp.
-  void build_lookahead_window(Runtime& rt,
-                              const sched::ReadyQueueShards::Snapshot& snap,
-                              double t_now);
+  void build_lookahead_window(Runtime& rt, double t_now);
 
   // --- Cross-thread atomics. -----------------------------------------------
   std::atomic<bool> stopping{false};
-  std::atomic<std::uint64_t> sched_epoch{0};
   /// policy.deferred_count(), published for stats() and the sampler.
   std::atomic<std::size_t> deferred_count{0};
   std::atomic<std::uint64_t> next_task_key{1};
@@ -500,10 +521,10 @@ struct Runtime::Impl {
     return mask != 0 ? mask : 0xffffffffu;
   }
 
-  /// Builds the scheduler-facing view of a task whose enqueue_time (and
-  /// key) are already set, paired with the task as the queue payload.
-  [[nodiscard]] sched::ReadyQueueShards::PushItem ready_item(
-      std::shared_ptr<InFlightTask> task) const {
+  /// Builds the scheduler-facing view of a task and appends it to the ready
+  /// queue. Round owner only; the caller must have set enqueue_time (and
+  /// key) already.
+  void push_ready(std::shared_ptr<InFlightTask> task) {
     const sched::ReadyTask view{
         .task_key = task->key,
         .app_instance_id = task->app_instance_id,
@@ -512,17 +533,10 @@ struct Runtime::Impl {
         .data_bytes = task->data_bytes,
         .ready_time = task->enqueue_time,
         .rank = task->rank,
-        .class_mask = policy.effective_mask(impl_class_mask(task->impls),
-                                            task->retry),
+        .class_mask = policy.effective_mask(
+            task->kernel, impl_class_mask(task->impls), task->retry),
     };
-    return {.view = view, .payload = std::move(task)};
-  }
-
-  /// Builds the scheduler-facing view and pushes a task into its shard.
-  /// The caller must have set enqueue_time (and key) already.
-  void push_ready(std::shared_ptr<InFlightTask> task) {
-    auto item = ready_item(std::move(task));
-    ready.push(item.view, std::move(item.payload));
+    ready.push(view, std::move(task));
   }
 };
 

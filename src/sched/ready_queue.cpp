@@ -4,8 +4,6 @@
 #include <bit>
 #include <limits>
 
-#include "cedr/common/stopwatch.h"
-
 namespace cedr::sched {
 
 namespace {
@@ -136,10 +134,10 @@ std::span<const std::size_t> CandidateView::merged_slots(
 }
 
 // ---------------------------------------------------------------------------
-// ReadyQueueShards
+// ReadyQueue
 // ---------------------------------------------------------------------------
 
-std::size_t ReadyQueueShards::shard_for(std::uint32_t effective_mask) noexcept {
+std::size_t ReadyQueue::shard_for(std::uint32_t effective_mask) noexcept {
   const std::uint32_t mask = effective_mask & kClassBits;
   if (std::has_single_bit(mask)) {
     return static_cast<std::size_t>(std::countr_zero(mask));
@@ -147,120 +145,43 @@ std::size_t ReadyQueueShards::shard_for(std::uint32_t effective_mask) noexcept {
   return kMultiShard;
 }
 
-std::string_view ReadyQueueShards::shard_name(std::size_t shard) noexcept {
+std::string_view ReadyQueue::shard_name(std::size_t shard) noexcept {
   if (shard < platform::kNumPeClasses) {
     return platform::pe_class_name(static_cast<platform::PeClass>(shard));
   }
   return "multi";
 }
 
-std::unique_lock<std::mutex> ReadyQueueShards::acquire(const Shard& s) const {
-  std::unique_lock lock(s.mutex, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    Stopwatch wait;
-    lock.lock();
-    if (lock_wait_us_ != nullptr) lock_wait_us_->record(wait.elapsed_us());
-  }
-  return lock;
+void ReadyQueue::push(const ReadyTask& view, std::shared_ptr<void> payload) {
+  views_.push_back(view);
+  payloads_.push_back(std::move(payload));
+  add(depths_[shard_for(view.class_mask)], 1);
+  add(total_, 1);
 }
 
-void ReadyQueueShards::push(const ReadyTask& view,
-                            std::shared_ptr<void> payload) {
-  const std::size_t shard = shard_for(view.class_mask);
-  Entry entry{
-      .view = view,
-      .payload = std::move(payload),
-      .seq = next_seq_.fetch_add(1, std::memory_order_relaxed),
-      .shard = static_cast<std::uint8_t>(shard),
-  };
-  {
-    const auto lock = acquire(shards_[shard]);
-    shards_[shard].entries.push_back(std::move(entry));
-    // Counted inside the critical section: once the entry is visible to a
-    // concurrent snapshot/remove cycle, its decrement must find the
-    // increment already applied — counting after unlock lets a fast
-    // dispatch remove the entry first and wrap total_ below zero.
-    depths_[shard].fetch_add(1, std::memory_order_relaxed);
-    total_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void ReadyQueueShards::push_batch(std::span<PushItem> items) {
-  if (items.empty()) return;
-  // One fetch_add reserves the whole seq range; assigning seq0+i in input
-  // order makes the batch merge into snapshots exactly as element-wise
-  // pushes would.
-  const std::uint64_t seq0 =
-      next_seq_.fetch_add(items.size(), std::memory_order_relaxed);
-  for (std::size_t shard = 0; shard < kShardCount; ++shard) {
-    bool locked = false;
-    std::unique_lock<std::mutex> lock;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      PushItem& item = items[i];
-      if (shard_for(item.view.class_mask) != shard) continue;
-      if (!locked) {
-        lock = acquire(shards_[shard]);
-        locked = true;
-      }
-      shards_[shard].entries.push_back(Entry{
-          .view = item.view,
-          .payload = std::move(item.payload),
-          .seq = seq0 + i,
-          .shard = static_cast<std::uint8_t>(shard),
-      });
-      // Same invariant as push(): count while still holding the lock.
-      depths_[shard].fetch_add(1, std::memory_order_relaxed);
-      total_.fetch_add(1, std::memory_order_relaxed);
+void ReadyQueue::remove(std::span<const std::size_t> indices) {
+  if (indices.empty()) return;
+  doomed_.assign(views_.size(), 0);
+  for (const std::size_t i : indices) doomed_[i] = 1;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < views_.size(); ++i) {
+    if (doomed_[i] != 0) {
+      add(depths_[shard_for(views_[i].class_mask)], -1);
+      continue;
     }
-  }
-}
-
-ReadyQueueShards::Snapshot ReadyQueueShards::snapshot() const {
-  Snapshot snap;
-  snap.entries.reserve(size());
-  for (const Shard& shard : shards_) {
-    const auto lock = acquire(shard);
-    snap.entries.insert(snap.entries.end(), shard.entries.begin(),
-                        shard.entries.end());
-  }
-  // Seq order is push order: the merged view is the same global FIFO the
-  // legacy single deque presented, which keeps heuristic inputs — and
-  // therefore sim golden traces — identical.
-  std::sort(snap.entries.begin(), snap.entries.end(),
-            [](const Entry& a, const Entry& b) { return a.seq < b.seq; });
-  snap.views.reserve(snap.entries.size());
-  for (const Entry& e : snap.entries) snap.views.push_back(e.view);
-  return snap;
-}
-
-void ReadyQueueShards::remove(std::span<const Entry> taken) {
-  if (taken.empty()) return;
-  for (std::size_t shard = 0; shard < kShardCount; ++shard) {
-    // Collect this shard's doomed seqs first so the lock covers only the
-    // erase itself.
-    std::vector<std::uint64_t> seqs;
-    for (const Entry& e : taken) {
-      if (e.shard == shard) seqs.push_back(e.seq);
+    if (kept != i) {
+      views_[kept] = views_[i];
+      payloads_[kept] = std::move(payloads_[i]);
     }
-    if (seqs.empty()) continue;
-    std::sort(seqs.begin(), seqs.end());
-    {
-      const auto lock = acquire(shards_[shard]);
-      auto& entries = shards_[shard].entries;
-      const auto new_end = std::remove_if(
-          entries.begin(), entries.end(), [&seqs](const Entry& e) {
-            return std::binary_search(seqs.begin(), seqs.end(), e.seq);
-          });
-      const auto erased = static_cast<std::size_t>(entries.end() - new_end);
-      entries.erase(new_end, entries.end());
-      depths_[shard].fetch_sub(erased, std::memory_order_relaxed);
-      total_.fetch_sub(erased, std::memory_order_relaxed);
-    }
+    ++kept;
   }
+  views_.resize(kept);
+  payloads_.resize(kept);
+  total_.store(kept, std::memory_order_relaxed);
 }
 
-std::array<std::size_t, ReadyQueueShards::kShardCount>
-ReadyQueueShards::depths() const noexcept {
+std::array<std::size_t, ReadyQueue::kShardCount> ReadyQueue::depths()
+    const noexcept {
   std::array<std::size_t, kShardCount> out{};
   for (std::size_t i = 0; i < kShardCount; ++i) {
     out[i] = depths_[i].load(std::memory_order_relaxed);

@@ -102,8 +102,7 @@ class Engine {
         cores_(static_cast<double>(config.platform.total_app_cores)),
         policy_(config_.platform.pes, config_.faults.policy,
                 config_.sched_costs != nullptr ? config_.sched_costs
-                                               : &config_.platform.costs),
-        ready_(config.sched_lock_wait_us) {
+                                               : &config_.platform.costs) {
     // Application-thread work (glue, call issue, condvar wake) runs on the
     // platform's CPU cores: scale reference-core durations by the
     // platform's GENERIC cost (seconds per reference nanosecond * 1e9).
@@ -347,7 +346,7 @@ class Engine {
     }
     // Deferred retries whose backoff has elapsed re-enter the ready queue.
     // The re-push recomputes the effective class mask, so the retry's
-    // failed-class narrowing takes effect on its new shard placement. As in
+    // failed-class narrowing takes effect on its next round. As in
     // the runtime, each re-enqueue opens a new flow.
     policy_.release_due(now_, [this](std::shared_ptr<void> payload) {
       auto task = std::static_pointer_cast<SimTask>(std::move(payload));
@@ -409,9 +408,9 @@ class Engine {
     return mask;
   }
 
-  /// Routes one task into the sharded ready queue — the same component the
-  /// threaded runtime dispatches from (docs/scheduling.md) — with the
-  /// engine's effective class mask.
+  /// Appends one task to the ready queue — the same component the threaded
+  /// runtime dispatches from (docs/scheduling.md) — with the engine's
+  /// effective class mask.
   void push_ready(std::shared_ptr<SimTask> task) {
     const sched::ReadyTask view{
         .task_key = task->key,
@@ -421,7 +420,8 @@ class Engine {
         .data_bytes = task->bytes,
         .ready_time = task->ready_time,
         .rank = task->rank,
-        .class_mask = policy_.effective_mask(task->class_mask, task->retry),
+        .class_mask = policy_.effective_mask(task->kernel, task->class_mask,
+                                             task->retry),
     };
     ready_.push(view, std::move(task));
     max_ready_ = std::max(max_ready_, ready_.size());
@@ -816,14 +816,15 @@ class Engine {
     // round may begin at most once per event-loop period. For blocking API
     // calls this period is the dominant per-call round-trip latency.
     next_round_allowed_ = now_ + config_.costs.loop_period;
-    // Snapshot the sharded queue — merged back into global FIFO (push)
-    // order, the exact sequence the legacy single deque presented — and run
-    // the heuristic now; the decision's virtual cost is charged before the
+    // The round covers the queue as it stands, in push order, and runs the
+    // heuristic now; the decision's virtual cost is charged before the
     // assignments take effect. The per-task effective class mask (failed
-    // classes narrowed, present-class fallback) was computed at push time.
+    // classes narrowed while still placeable) was computed at push time.
+    // Tasks pushed while the round is charged append behind its first
+    // round_size_ entries.
     queue_dirty_ = false;
-    round_snapshot_ = ready_.snapshot();
-    const std::span<const sched::ReadyTask> views(round_snapshot_.views);
+    round_size_ = ready_.size();
+    const std::span<const sched::ReadyTask> views = ready_.views();
     const std::span<sched::PeState> pe_states = policy_.round_pes(now_);
     // The heuristics see the live adapted snapshot when there is one, else
     // the engine's base view (an explicit static override or the platform
@@ -908,20 +909,19 @@ class Engine {
            static_cast<std::uint64_t>(ordinal & 0xffffu);
   }
 
-  /// Widens the in-flight round's frontier past the ready snapshot: for
-  /// every instance whose *entire* current segment sits in the snapshot
+  /// Widens the in-flight round's frontier past the ready queue: for
+  /// every instance whose *entire* current segment sits in the queue
   /// (nothing executing, nothing deferred on retry backoff), the next
   /// `lookahead_depth` segments join the window as lookahead tasks whose
   /// in-window predecessors are the full prior level — the emulator's
   /// segment-chain analogue of the runtime's DagPlan-driven window.
   void build_lookahead_window(sched::Frontier& frontier) {
-    // Group the snapshot's current-segment tasks per instance, preserving
-    // first-seen snapshot order so the window layout is deterministic.
+    // Group the queue's current-segment tasks per instance, preserving
+    // first-seen queue order so the window layout is deterministic.
     std::unordered_map<std::size_t, std::size_t> group_pos;
     std::vector<std::pair<std::size_t, std::vector<std::size_t>>> groups;
-    for (std::size_t i = 0; i < round_snapshot_.entries.size(); ++i) {
-      const auto* t = static_cast<const SimTask*>(
-          round_snapshot_.entries[i].payload.get());
+    for (std::size_t i = 0; i < round_size_; ++i) {
+      const auto* t = static_cast<const SimTask*>(ready_.payload(i).get());
       const Instance& inst = instances_[t->instance];
       if (inst.terminated || t->segment != inst.segment) continue;
       const auto [it, inserted] =
@@ -993,33 +993,31 @@ class Engine {
   void complete_main_item() {
     main_busy_ = false;
     if (main_item_is_sched_) {
-      // Dispatch the decided assignments in snapshot (global FIFO) order —
-      // the order the legacy deque walked — gating probes against the
-      // *current* worker state; tasks pushed mid-round and assignments a
-      // probe absorbed stay queued for the next round.
+      // Dispatch the decided assignments in queue (push) order, gating
+      // probes against the *current* worker state; tasks pushed mid-round
+      // and assignments a probe absorbed stay queued for the next round.
       std::unordered_map<std::uint64_t, sched::Assignment> assigned;
       assigned.reserve(pending_assignments_.size());
       for (const auto& [key, a] : pending_assignments_) {
         assigned.emplace(key, a);
       }
-      std::vector<sched::ReadyQueueShards::Entry> taken;
+      std::vector<std::size_t> taken;
       taken.reserve(assigned.size());
-      for (const sched::ReadyQueueShards::Entry& entry :
-           round_snapshot_.entries) {
-        const auto it = assigned.find(entry.view.task_key);
+      for (std::size_t i = 0; i < round_size_; ++i) {
+        const auto it = assigned.find(ready_.views()[i].task_key);
         if (it == assigned.end()) continue;
         const sched::Assignment& a = it->second;
         if (policy_.gate(a.pe_index) == sched::DispatchGate::kHold) {
           policy_.unbook(a.pe_index, a.estimate_s);
           continue;
         }
-        taken.push_back(entry);
-        SimTask& task = *std::static_pointer_cast<SimTask>(entry.payload);
+        taken.push_back(i);
+        SimTask& task = *std::static_pointer_cast<SimTask>(ready_.payload(i));
         task.booked_s = a.estimate_s;
         dispatch_to_worker(a.pe_index, std::move(task));
       }
       ready_.remove(taken);
-      round_snapshot_ = {};
+      round_size_ = 0;
       pending_assignments_.clear();
       return;
     }
@@ -1134,13 +1132,11 @@ class Engine {
   std::vector<Instance> instances_;
   std::vector<Worker> workers_;
 
-  /// The same sharded ready queue the threaded runtime schedules from;
-  /// single-threaded here, so every lock acquisition takes the
-  /// uncontended fast path and the snapshot order is exactly push order.
-  sched::ReadyQueueShards ready_;
-  /// The queue snapshot the in-flight scheduling round decided over; the
-  /// dispatch at complete_main_item consumes and clears it.
-  sched::ReadyQueueShards::Snapshot round_snapshot_;
+  /// The same ready queue the threaded runtime schedules from.
+  sched::ReadyQueue ready_;
+  /// Queue entries the in-flight scheduling round decided over (its first
+  /// entries); the dispatch at complete_main_item consumes them.
+  std::size_t round_size_ = 0;
   bool queue_dirty_ = false;
   std::uint64_t next_key_ = 1;
 

@@ -209,16 +209,37 @@ TEST_F(PolicyEngineTest, PresentClassFallback) {
   const std::uint32_t cpu = bit(platform::PeClass::kCpu);
   const std::uint32_t fft = bit(platform::PeClass::kFftAccel);
   const std::uint32_t gpu = bit(platform::PeClass::kGpu);
+  constexpr platform::KernelId kFft = platform::KernelId::kFft;
   RetryState retry;
-  EXPECT_EQ(engine.effective_mask(cpu | fft, retry), cpu | fft);
+  EXPECT_EQ(engine.effective_mask(kFft, cpu | fft, retry), cpu | fft);
   // A failure on the accelerator narrows the retry to the CPUs.
   engine.on_failure(kFft0, retry, std::make_shared<int>(0), clock_.t);
   EXPECT_EQ(retry.failed_class_mask, fft);
-  EXPECT_EQ(engine.effective_mask(cpu | fft, retry), cpu);
+  EXPECT_EQ(engine.effective_mask(kFft, cpu | fft, retry), cpu);
   // Narrowing that would leave nothing present keeps the full mask.
-  EXPECT_EQ(engine.effective_mask(fft, retry), fft);
+  EXPECT_EQ(engine.effective_mask(kFft, fft, retry), fft);
   RetryState cpu_failed{.attempt = 1, .failed_class_mask = cpu};
-  EXPECT_EQ(engine.effective_mask(cpu | gpu, cpu_failed), cpu | gpu);
+  EXPECT_EQ(engine.effective_mask(kFft, cpu | gpu, cpu_failed), cpu | gpu);
+}
+
+TEST_F(PolicyEngineTest, NarrowingKeepsAClassThatRunsTheKernel) {
+  // An implementation-less task may run on any class. After a CPU failure,
+  // the only present class left is the FFT accelerator, which runs FFT but
+  // not GENERIC: a GENERIC retry keeps its full mask (back to the CPUs),
+  // an FFT retry narrows to the accelerator.
+  PolicyEngine engine = make_engine();
+  const std::uint32_t cpu = bit(platform::PeClass::kCpu);
+  const std::uint32_t fft = bit(platform::PeClass::kFftAccel);
+  constexpr std::uint32_t kAnyClass = 0xffffffffu;
+  RetryState retry;
+  engine.on_failure(kCpu0, retry, std::make_shared<int>(0), clock_.t);
+  EXPECT_EQ(retry.failed_class_mask, cpu);
+  EXPECT_EQ(
+      engine.effective_mask(platform::KernelId::kGeneric, kAnyClass, retry),
+      kAnyClass);
+  EXPECT_EQ(engine.effective_mask(platform::KernelId::kFft, kAnyClass, retry) &
+                (cpu | fft),
+            fft);
 }
 
 TEST_F(PolicyEngineTest, StaleAfterQuarantine) {

@@ -761,5 +761,38 @@ TEST(RuntimeOwner, ConcurrentPublishersUnderTransientFaults) {
             runtime.counters().get("tasks_executed"));
 }
 
+TEST(RuntimeOwner, ImplLessChainsSurviveCpuFaults) {
+  // An implementation-less GENERIC task may run on any class, but only the
+  // CPUs of host(2,1) can run GENERIC. After a CPU failure its retry must
+  // go back to the CPUs, not be narrowed to the FFT accelerator, where no
+  // round could ever place it and shutdown() would wait on it forever.
+  RuntimeConfig config = small_config();
+  config.fault_plan.seed = 34;
+  config.fault_plan.per_pe["cpu0"].fail_prob = 0.1;
+  config.fault_plan.per_pe["cpu1"].fail_prob = 0.1;
+  config.fault_plan.policy.max_retries = 8;
+  Runtime runtime(config);
+  ASSERT_TRUE(runtime.start().ok());
+  constexpr std::size_t kChainTasks = 4;
+  constexpr std::size_t kChains = 100;
+  const auto chain = nop_chain(kChainTasks);
+  std::vector<DagSubmission> batch(
+      kChains,
+      DagSubmission{.descriptor = chain,
+                    .impls = std::vector<api::ImplArray>(kChainTasks)});
+  for (const auto& result : runtime.submit_dag_batch(std::move(batch))) {
+    ASSERT_TRUE(result.ok());
+  }
+  ASSERT_TRUE(runtime.wait_all(30.0).ok())
+      << runtime.completed_apps() << " of " << runtime.submitted_apps()
+      << " instances completed";
+  EXPECT_TRUE(runtime.shutdown().ok());
+  EXPECT_EQ(runtime.completed_apps(), kChains);
+  EXPECT_GT(runtime.counters().get("tasks_retried"), 0u);
+  EXPECT_EQ(runtime.counters().get("tasks_failed"), 0u);
+  EXPECT_EQ(runtime.counters().get("tasks_executed"),
+            kChains * kChainTasks + runtime.counters().get("tasks_retried"));
+}
+
 }  // namespace
 }  // namespace cedr::rt

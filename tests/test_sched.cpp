@@ -284,7 +284,7 @@ TEST(Comparisons, RoundRobinChargesFullRotationForUnassignable) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded ready queue
+// Ready queue
 // ---------------------------------------------------------------------------
 
 ReadyTask masked_task(std::uint64_t key, std::uint32_t mask) {
@@ -293,24 +293,15 @@ ReadyTask masked_task(std::uint64_t key, std::uint32_t mask) {
   return t;
 }
 
-TEST(ReadyQueueShardsTest, RoutesSingleClassMasksToTheirShard) {
-  for (std::size_t c = 0; c < platform::kNumPeClasses; ++c) {
-    EXPECT_EQ(ReadyQueueShards::shard_for(1u << c), c);
-  }
-  const std::uint32_t cpu_and_fft =
-      (1u << static_cast<unsigned>(platform::PeClass::kCpu)) |
-      (1u << static_cast<unsigned>(platform::PeClass::kFftAccel));
-  EXPECT_EQ(ReadyQueueShards::shard_for(cpu_and_fft),
-            ReadyQueueShards::kMultiShard);
-  EXPECT_EQ(ReadyQueueShards::shard_for(0xffffffffu),
-            ReadyQueueShards::kMultiShard);
-  EXPECT_EQ(ReadyQueueShards::shard_for(0u), ReadyQueueShards::kMultiShard);
+std::vector<std::uint64_t> queued_keys(const ReadyQueue& queue) {
+  std::vector<std::uint64_t> keys;
+  for (const ReadyTask& view : queue.views()) keys.push_back(view.task_key);
+  return keys;
 }
 
-TEST(ReadyQueueShardsTest, SnapshotMergesInGlobalFifoOrder) {
-  ReadyQueueShards queue;
-  // Interleave pushes across three shards; the snapshot must present the
-  // global push order, exactly as the legacy single deque did.
+TEST(ReadyQueueTest, FifoOrderAcrossClasses) {
+  ReadyQueue queue;
+  // Interleave pushes across three classes; the views present push order.
   const std::uint32_t cpu =
       1u << static_cast<unsigned>(platform::PeClass::kCpu);
   const std::uint32_t fft =
@@ -320,56 +311,49 @@ TEST(ReadyQueueShardsTest, SnapshotMergesInGlobalFifoOrder) {
     queue.push(masked_task(i, masks[i]), std::make_shared<std::uint64_t>(i));
   }
   EXPECT_EQ(queue.size(), 6u);
-  const ReadyQueueShards::Snapshot snap = queue.snapshot();
-  ASSERT_EQ(snap.size(), 6u);
+  ASSERT_EQ(queue.views().size(), 6u);
   for (std::uint64_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(snap.views[i].task_key, i);
-    EXPECT_EQ(snap.entries[i].view.task_key, i);
-    EXPECT_EQ(*std::static_pointer_cast<std::uint64_t>(snap.entries[i].payload),
-              i);
+    EXPECT_EQ(queue.views()[i].task_key, i);
+    EXPECT_EQ(*std::static_pointer_cast<std::uint64_t>(queue.payload(i)), i);
   }
 }
 
-TEST(ReadyQueueShardsTest, RemoveTakesOnlySnapshottedEntries) {
-  ReadyQueueShards queue;
-  const std::uint32_t cpu =
-      1u << static_cast<unsigned>(platform::PeClass::kCpu);
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    queue.push(masked_task(i, i % 2 == 0 ? cpu : 0xffffffffu),
-               std::make_shared<std::uint64_t>(i));
-  }
-  const ReadyQueueShards::Snapshot snap = queue.snapshot();
-  // Entries pushed after the snapshot must survive removal untouched.
-  queue.push(masked_task(4, cpu), std::make_shared<std::uint64_t>(4));
-  queue.push(masked_task(5, 0xffffffffu), std::make_shared<std::uint64_t>(5));
-  queue.remove(snap.entries);
-  EXPECT_EQ(queue.size(), 2u);
-  const ReadyQueueShards::Snapshot rest = queue.snapshot();
-  ASSERT_EQ(rest.size(), 2u);
-  EXPECT_EQ(rest.views[0].task_key, 4u);
-  EXPECT_EQ(rest.views[1].task_key, 5u);
-}
-
-TEST(ReadyQueueShardsTest, PartialRemovalKeepsFifoOrder) {
-  ReadyQueueShards queue;
+TEST(ReadyQueueTest, RemoveKeepsEntriesPushedAfterTheRound) {
+  // The emulator's round covers the first entries; pushes while it is
+  // charged append behind them and must survive its removal untouched.
+  ReadyQueue queue;
   for (std::uint64_t i = 0; i < 6; ++i) {
-    queue.push(masked_task(i, 0xffffffffu),
-               std::make_shared<std::uint64_t>(i));
+    queue.push(masked_task(i, 0xffffffffu), std::make_shared<std::uint64_t>(i));
   }
-  const ReadyQueueShards::Snapshot snap = queue.snapshot();
-  // Dispatch a non-contiguous subset, as a round with a busy PE pool would.
-  const ReadyQueueShards::Entry taken[] = {snap.entries[1], snap.entries[4]};
+  queue.push(masked_task(6, 0xffffffffu), std::make_shared<std::uint64_t>(6));
+  // Dispatch a non-contiguous subset, in no particular order, as a round
+  // with a busy PE pool would.
+  const std::size_t taken[] = {4, 1};
   queue.remove(taken);
-  const ReadyQueueShards::Snapshot rest = queue.snapshot();
-  ASSERT_EQ(rest.size(), 4u);
-  EXPECT_EQ(rest.views[0].task_key, 0u);
-  EXPECT_EQ(rest.views[1].task_key, 2u);
-  EXPECT_EQ(rest.views[2].task_key, 3u);
-  EXPECT_EQ(rest.views[3].task_key, 5u);
+  EXPECT_EQ(queue.size(), 5u);
+  EXPECT_EQ(queued_keys(queue), (std::vector<std::uint64_t>{0, 2, 3, 5, 6}));
+  for (std::size_t i = 0; i < queue.views().size(); ++i) {
+    EXPECT_EQ(*std::static_pointer_cast<std::uint64_t>(queue.payload(i)),
+              queue.views()[i].task_key);
+  }
+  const std::size_t all_of_round[] = {0, 1, 2, 3};
+  queue.remove(all_of_round);
+  EXPECT_EQ(queued_keys(queue), (std::vector<std::uint64_t>{6}));
+  EXPECT_EQ(queue.size(), 1u);
 }
 
-TEST(ReadyQueueShardsTest, DepthsTrackPerShardOccupancy) {
-  ReadyQueueShards queue;
+TEST(ReadyQueueTest, DepthsAndShardNames) {
+  for (std::size_t c = 0; c < platform::kNumPeClasses; ++c) {
+    EXPECT_EQ(ReadyQueue::shard_for(1u << c), c);
+  }
+  const std::uint32_t cpu_and_fft =
+      (1u << static_cast<unsigned>(platform::PeClass::kCpu)) |
+      (1u << static_cast<unsigned>(platform::PeClass::kFftAccel));
+  EXPECT_EQ(ReadyQueue::shard_for(cpu_and_fft), ReadyQueue::kMultiShard);
+  EXPECT_EQ(ReadyQueue::shard_for(0xffffffffu), ReadyQueue::kMultiShard);
+  EXPECT_EQ(ReadyQueue::shard_for(0u), ReadyQueue::kMultiShard);
+
+  ReadyQueue queue;
   const auto cpu_shard = static_cast<std::size_t>(platform::PeClass::kCpu);
   const auto fft_shard =
       static_cast<std::size_t>(platform::PeClass::kFftAccel);
@@ -377,28 +361,33 @@ TEST(ReadyQueueShardsTest, DepthsTrackPerShardOccupancy) {
   queue.push(masked_task(1, 1u << cpu_shard), std::make_shared<int>(1));
   queue.push(masked_task(2, 1u << fft_shard), std::make_shared<int>(2));
   queue.push(masked_task(3, 0xffffffffu), std::make_shared<int>(3));
-  const auto depths = queue.depths();
+  auto depths = queue.depths();
   EXPECT_EQ(depths[cpu_shard], 2u);
   EXPECT_EQ(depths[fft_shard], 1u);
-  EXPECT_EQ(depths[ReadyQueueShards::kMultiShard], 1u);
+  EXPECT_EQ(depths[ReadyQueue::kMultiShard], 1u);
   EXPECT_EQ(queue.size(), 4u);
-  EXPECT_EQ(ReadyQueueShards::shard_name(cpu_shard), "cpu");
-  EXPECT_EQ(ReadyQueueShards::shard_name(ReadyQueueShards::kMultiShard),
-            "multi");
+  const std::size_t taken[] = {0, 3};
+  queue.remove(taken);
+  depths = queue.depths();
+  EXPECT_EQ(depths[cpu_shard], 1u);
+  EXPECT_EQ(depths[fft_shard], 1u);
+  EXPECT_EQ(depths[ReadyQueue::kMultiShard], 0u);
+  EXPECT_EQ(queue.size(), 2u);
+  EXPECT_EQ(ReadyQueue::shard_name(cpu_shard), "cpu");
+  EXPECT_EQ(ReadyQueue::shard_name(ReadyQueue::kMultiShard), "multi");
 }
 
-TEST(ReadyQueueShardsTest, SnapshotViewsCarryTheEffectiveMask) {
-  // The heuristics read eligibility straight off the snapshot views; the
-  // queue must hand back exactly the mask it was given at push time.
-  ReadyQueueShards queue;
+TEST(ReadyQueueTest, ViewsCarryTheEffectiveMask) {
+  // The heuristics read eligibility straight off the views; the queue must
+  // hand back exactly the mask it was given at push time.
+  ReadyQueue queue;
   const std::uint32_t cpu =
       1u << static_cast<unsigned>(platform::PeClass::kCpu);
   queue.push(masked_task(7, cpu), std::make_shared<int>(0));
-  const ReadyQueueShards::Snapshot snap = queue.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap.views[0].class_mask, cpu);
-  EXPECT_EQ(snap.entries[0].shard,
-            static_cast<std::uint8_t>(platform::PeClass::kCpu));
+  ASSERT_EQ(queue.views().size(), 1u);
+  EXPECT_EQ(queue.views()[0].class_mask, cpu);
+  EXPECT_EQ(queue.depths()[static_cast<std::size_t>(platform::PeClass::kCpu)],
+            1u);
 }
 
 TEST(RoundRobin, SpreadsAcrossCompatiblePes) {

@@ -22,8 +22,9 @@ BUILD_DIR="${ROOT}/build-${SANITIZER}"
 # continuous trace pipeline (flusher draining the ring while writers
 # record), the
 # online cost adaptation (concurrent observe + lock-free snapshot swap),
-# the scheduling layer (sharded ready queue with per-shard locks, and the
-# policy engine driven by whichever thread owns the scheduling round), the
+# the scheduling layer (publishers handing ready tasks and completions to
+# the round inbox, and the ready queue and policy engine driven by
+# whichever thread owns the scheduling round), the
 # scenario harness (concurrent sweep execution over shared compiled state),
 # the shared-memory submission lane (SPSC rings with release/acquire
 # cursors shared across threads, doorbell arming, drain workers), and the
