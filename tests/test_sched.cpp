@@ -318,9 +318,42 @@ TEST(ReadyQueueTest, FifoOrderAcrossClasses) {
   }
 }
 
-TEST(ReadyQueueTest, RemoveKeepsEntriesPushedAfterTheRound) {
+TEST(ReadyQueueShardsTest, RoutesSingleClassMasksToTheirShard) {
+  for (std::size_t c = 0; c < platform::kNumPeClasses; ++c) {
+    EXPECT_EQ(ReadyQueue::shard_for(1u << c), c);
+  }
+  const std::uint32_t cpu_and_fft =
+      (1u << static_cast<unsigned>(platform::PeClass::kCpu)) |
+      (1u << static_cast<unsigned>(platform::PeClass::kFftAccel));
+  EXPECT_EQ(ReadyQueue::shard_for(cpu_and_fft), ReadyQueue::kMultiShard);
+  EXPECT_EQ(ReadyQueue::shard_for(0xffffffffu), ReadyQueue::kMultiShard);
+  EXPECT_EQ(ReadyQueue::shard_for(0u), ReadyQueue::kMultiShard);
+}
+
+TEST(ReadyQueueShardsTest, RemoveTakesOnlySnapshottedEntries) {
   // The emulator's round covers the first entries; pushes while it is
   // charged append behind them and must survive its removal untouched.
+  ReadyQueue queue;
+  const std::uint32_t cpu =
+      1u << static_cast<unsigned>(platform::PeClass::kCpu);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    queue.push(masked_task(i, i % 2 == 0 ? cpu : 0xffffffffu),
+               std::make_shared<std::uint64_t>(i));
+  }
+  const std::size_t round[] = {0, 1, 2, 3};
+  queue.push(masked_task(4, cpu), std::make_shared<std::uint64_t>(4));
+  queue.push(masked_task(5, 0xffffffffu), std::make_shared<std::uint64_t>(5));
+  queue.remove(round);
+  EXPECT_EQ(queue.size(), 2u);
+  EXPECT_EQ(queued_keys(queue), (std::vector<std::uint64_t>{4, 5}));
+  EXPECT_EQ(*std::static_pointer_cast<std::uint64_t>(queue.payload(0)), 4u);
+  EXPECT_EQ(*std::static_pointer_cast<std::uint64_t>(queue.payload(1)), 5u);
+  const auto depths = queue.depths();
+  EXPECT_EQ(depths[static_cast<std::size_t>(platform::PeClass::kCpu)], 1u);
+  EXPECT_EQ(depths[ReadyQueue::kMultiShard], 1u);
+}
+
+TEST(ReadyQueueShardsTest, PartialRemovalKeepsFifoOrder) {
   ReadyQueue queue;
   for (std::uint64_t i = 0; i < 6; ++i) {
     queue.push(masked_task(i, 0xffffffffu), std::make_shared<std::uint64_t>(i));
@@ -342,17 +375,7 @@ TEST(ReadyQueueTest, RemoveKeepsEntriesPushedAfterTheRound) {
   EXPECT_EQ(queue.size(), 1u);
 }
 
-TEST(ReadyQueueTest, DepthsAndShardNames) {
-  for (std::size_t c = 0; c < platform::kNumPeClasses; ++c) {
-    EXPECT_EQ(ReadyQueue::shard_for(1u << c), c);
-  }
-  const std::uint32_t cpu_and_fft =
-      (1u << static_cast<unsigned>(platform::PeClass::kCpu)) |
-      (1u << static_cast<unsigned>(platform::PeClass::kFftAccel));
-  EXPECT_EQ(ReadyQueue::shard_for(cpu_and_fft), ReadyQueue::kMultiShard);
-  EXPECT_EQ(ReadyQueue::shard_for(0xffffffffu), ReadyQueue::kMultiShard);
-  EXPECT_EQ(ReadyQueue::shard_for(0u), ReadyQueue::kMultiShard);
-
+TEST(ReadyQueueShardsTest, DepthsTrackPerShardOccupancy) {
   ReadyQueue queue;
   const auto cpu_shard = static_cast<std::size_t>(platform::PeClass::kCpu);
   const auto fft_shard =
