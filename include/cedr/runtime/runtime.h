@@ -378,6 +378,10 @@ class Runtime {
   /// per-app metric).
   obs::QuantileHistogram* retry_latency_us_ = nullptr;
   obs::QuantileHistogram* app_exec_us_ = nullptr;
+  /// Per owned round: its round_mutex hold, and the completion records it
+  /// drained (rounds that drained any).
+  obs::QuantileHistogram* round_hold_us_ = nullptr;
+  obs::QuantileHistogram* batch_per_round_ = nullptr;
   /// Scheduler-round span label ("sched <heuristic>"), built once.
   std::string sched_span_name_;
   /// Non-null when the fault plan injects anything. Per-PE streams are only

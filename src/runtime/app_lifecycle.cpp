@@ -186,7 +186,8 @@ std::vector<StatusOr<std::uint64_t>> Runtime::submit_dag_batch(
         impl_->apps.emplace(id, std::move(prep.instance));
       }
       impl_->submitted.fetch_add(ok_count, std::memory_order_relaxed);
-      impl_->runtime_overhead += overhead.elapsed();
+      impl_->runtime_overhead.fetch_add(overhead.elapsed(),
+                                        std::memory_order_relaxed);
     }
   }
 
@@ -263,7 +264,8 @@ StatusOr<std::uint64_t> Runtime::submit_api(std::string app_name,
     instance->launch_time = instance->arrival_time;
     impl_->apps.emplace(id, std::move(instance));
     impl_->submitted.fetch_add(1, std::memory_order_relaxed);
-    impl_->runtime_overhead += overhead.elapsed();
+    impl_->runtime_overhead.fetch_add(overhead.elapsed(),
+                                      std::memory_order_relaxed);
   }
   tracer_.instant(obs::Category::kApp, "app_arrival", 1 + id, 0,
                   raw->arrival_time);

@@ -7,7 +7,8 @@
 // Locking (runtime_impl.h): rounds run under round_mutex, taken by whichever
 // thread published the work. The inbox (newly ready tasks and completion
 // records) is drained under the leaf event_mutex, then processed with
-// health_mutex (PE health) and app_mutex (lifecycle) taken separately and
+// health_mutex (PE health, per failed or probed record) and app_mutex
+// (lifecycle, once per round for the whole batch) taken separately and
 // never together with event_mutex held.
 
 #include <chrono>
@@ -35,7 +36,9 @@ void Runtime::drive_rounds(const Worker* worker) {
       // The owner re-checks round_pending after it unlocks, so it (or the
       // thread after it) runs the round this call asked for.
       if (!owner.owns_lock()) return;
+      const Stopwatch hold;
       owner_round(handoff);
+      handoff.hold_us = hold.elapsed_us();
     }
     hand_off(handoff);
   }
@@ -51,6 +54,7 @@ void Runtime::owner_round(RoundHandoff& out) {
     impl.drained_completions.swap(impl.completions);
     impl.drained_arrivals.swap(impl.arrivals);
   }
+  out.records = impl.drained_completions.size();
   // New work or a changed PE: a blocked round may be able to place now.
   if (!impl.drained_completions.empty() || !impl.drained_arrivals.empty()) {
     impl.sched_blocked = false;
@@ -69,6 +73,13 @@ void Runtime::hand_off(RoundHandoff& out) {
   }
   if (out.app_finished) impl_->app_done_cv.notify_all();
   out.app_finished = false;
+  round_hold_us_->record(out.hold_us);
+  if (out.records != 0) {
+    batch_per_round_->record(static_cast<double>(out.records));
+    out.records = 0;
+  }
+  // Last: the round's finished tasks are torn down here, off the round.
+  out.finished.clear();
 }
 
 void Runtime::main_loop() {
@@ -103,35 +114,41 @@ void Runtime::main_loop() {
 void Runtime::process_completions(RoundHandoff& out) {
   // The records owner_round drained from the inbox, processed without the
   // inbox lock: workers reporting further completions never wait on this
-  // round's health or lifecycle work.
+  // round's health or lifecycle work. Three passes over the batch, one
+  // clock read each: PE state record by record, then the lifecycle
+  // bookkeeping of the whole batch under one app_mutex hold, then the
+  // released successors in record order. Each task leaves in out.finished,
+  // so its teardown (impl closures, the arena free) runs after the round is
+  // released (hand_off).
   std::vector<Impl::CompletionRecord>& batch = impl_->drained_completions;
   if (batch.empty()) return;
   Stopwatch overhead;
-  std::vector<std::unique_ptr<AppInstance>> retired;
+  out.finished.reserve(batch.size());
   sched::PolicyEngine& policy = impl_->policy;
+
+  // --- Pass 1: PE availability, health, retry, terminal failure. -----------
+  const double t_now = now();
   for (Impl::CompletionRecord& rec : batch) {
-    std::shared_ptr<InFlightTask> inflight = std::move(rec.task);
-    const Status status = std::move(rec.status);
+    InFlightTask& inflight = *rec.task;
     const Worker& worker = *impl_->workers[rec.pe_index];
     const std::size_t pe = rec.pe_index;
-    const double t_now = now();
     // The attempt is off its PE either way: re-ground the PE's availability
     // on the work still booked there.
-    policy.complete(pe, inflight->booked_s, rec.ran_s, t_now);
+    policy.complete(pe, inflight.booked_s, rec.ran_s, t_now);
 
-    if (!status.ok()) {
+    if (!rec.status.ok()) {
       tracer_.instant(obs::Category::kFault, "fault", 0, 1 + pe, t_now,
-                      "attempt", static_cast<double>(inflight->retry.attempt));
-      sched::FailureOutcome out;
+                      "attempt", static_cast<double>(inflight.retry.attempt));
+      sched::FailureOutcome failure;
       {
         std::lock_guard health(impl_->health_mutex);
-        out = policy.on_failure(pe, inflight->retry, inflight, t_now);
+        failure = policy.on_failure(pe, inflight.retry, rec.task, t_now);
       }
-      if (out.health == sched::HealthTransition::kProbeFailed) {
+      if (failure.health == sched::HealthTransition::kProbeFailed) {
         count("probes_failed");
         tracer_.instant(obs::Category::kFault, "probe_failed", 0, 1 + pe,
                         t_now);
-      } else if (out.health == sched::HealthTransition::kQuarantined) {
+      } else if (failure.health == sched::HealthTransition::kQuarantined) {
         const std::uint32_t streak = policy.health(pe).consecutive_faults;
         count("pes_quarantined");
         tracer_.instant(obs::Category::kFault, "pe_quarantined", 0, 1 + pe,
@@ -141,27 +158,30 @@ void Runtime::process_completions(RoundHandoff& out) {
                                  << " quarantined after " << streak
                                  << " consecutive faults";
       }
-      if (out.retry) {
+      if (failure.retry) {
         count("tasks_retried");
         tracer_.instant(obs::Category::kFault, "retry_backoff", 0, 1 + pe,
                         t_now, "attempt",
-                        static_cast<double>(inflight->retry.attempt),
-                        "backoff_s", out.backoff_s);
+                        static_cast<double>(inflight.retry.attempt),
+                        "backoff_s", failure.backoff_s);
         impl_->deferred_count.store(policy.deferred_count(),
                                     std::memory_order_relaxed);
-        continue;  // not terminal: no successor release, no app signal
+        // Not terminal: the policy engine holds the task until its backoff
+        // ends. No successor release, no app signal.
+        out.finished.push_back(std::move(rec.task));
+        continue;
       }
       // Terminal failure: retries exhausted. Only now does the failure
       // become visible to the application.
       count("tasks_failed");
       tracer_.instant(obs::Category::kFault, "task_failed", 0, 1 + pe, t_now,
                       "attempts",
-                      static_cast<double>(inflight->retry.attempt + 1));
+                      static_cast<double>(inflight.retry.attempt + 1));
       CEDR_LOG(kWarn, kLogTag)
-          << "task '" << inflight->name << "' failed after "
-          << (inflight->retry.attempt + 1)
-          << " attempts: " << status.to_string();
-      if (inflight->completion) inflight->completion->signal(status);
+          << "task '" << inflight.name << "' failed after "
+          << (inflight.retry.attempt + 1)
+          << " attempts: " << rec.status.to_string();
+      if (inflight.completion) inflight.completion->signal(rec.status);
     } else {
       // --- Success: reset health, reinstate a probed PE, book recovery. ----
       sched::HealthTransition health;
@@ -176,32 +196,37 @@ void Runtime::process_completions(RoundHandoff& out) {
         CEDR_LOG(kInfo, kLogTag)
             << "PE " << worker.pe.name << " reinstated after probe success";
       }
-      if (inflight->retry.attempt > 0) {
+      if (inflight.retry.attempt > 0) {
         count("tasks_recovered");
-        const double latency_s = t_now - inflight->first_enqueue_time;
+        const double latency_s = t_now - inflight.first_enqueue_time;
         retry_latency_us_->record(latency_s * 1e6);
         tracer_.instant(obs::Category::kFault, "task_recovered", 0, 1 + pe,
                         t_now, "latency_s", latency_s);
       }
     }
+  }
 
-    // --- Application bookkeeping: successor release / finish. --------------
-    // DAG successors are built under app_mutex (they read per-instance
-    // state) and queued after it is released, to keep the lifecycle lock
-    // narrow.
-    std::vector<std::shared_ptr<InFlightTask>> released;
-    {
-      std::lock_guard lock(impl_->app_mutex);
-      auto it = impl_->apps.find(inflight->app_instance_id);
+  // --- Pass 2: successor release, finish and retire, one app_mutex hold. ---
+  // DAG successors are built under the lock (they read per-instance state)
+  // and queued after it is released, to keep the lifecycle lock narrow.
+  std::vector<std::shared_ptr<InFlightTask>>& released = impl_->released;
+  std::vector<std::unique_ptr<AppInstance>> retired;
+  {
+    std::lock_guard lock(impl_->app_mutex);
+    for (Impl::CompletionRecord& rec : batch) {
+      if (rec.task == nullptr) continue;  // deferred for a retry in pass 1
+      const InFlightTask& done =
+          *out.finished.emplace_back(std::move(rec.task));
+      const auto it = impl_->apps.find(done.app_instance_id);
       if (it == impl_->apps.end()) continue;
       AppInstance& app = *it->second;
-      if (inflight->is_dag) {
+      if (done.is_dag) {
         // Successor release is flat index arithmetic over the shared
         // DagPlan — no TaskId hashing, and the implementation arrays move
         // out of the instance instead of being copied from the descriptor.
         const DagPlan& plan = *app.plan;
         for (const std::uint32_t succ :
-             plan.successors[inflight->dag_task_index]) {
+             plan.successors[done.dag_task_index]) {
           if (--app.remaining_preds[succ] != 0) continue;
           const task::Task& t = app.dag->graph.tasks()[succ];
           auto next = impl_->make_task();
@@ -231,42 +256,44 @@ void Runtime::process_completions(RoundHandoff& out) {
         if (app.thread_reaped) retire_app_locked(app.id, retired);
       }
     }
-    for (auto& next : released) {
-      next->enqueue_time = now();
-      next->first_enqueue_time = next->enqueue_time;
-      tracer_.flow(obs::EventKind::kFlowBegin, obs::Category::kApp,
-                   next->name.c_str(), 1 + next->app_instance_id, 0,
-                   next->enqueue_time, next->key);
-      // Honour a fresh lookahead reservation: the task bypasses the ready
-      // queue into the round's dispatch batch for its reserved PE (no
-      // re-decision). Otherwise — or when it has gone stale — it takes the
-      // normal ready path and the next round re-decides it.
-      if (lookahead_ != nullptr) {
-        const sched::Honoured honoured = policy.honour(Impl::reservation_key(
-            next->app_instance_id, next->dag_task_index));
-        if (honoured.outcome == sched::Honoured::Outcome::kHit) {
-          next->booked_s = honoured.estimate_s;
-          tracer_.flow(obs::EventKind::kFlowStep, obs::Category::kSched,
-                       "dispatch_reserved", 0, 0, now(), next->key);
-          if (out.batches.empty()) out.batches.resize(impl_->workers.size());
-          out.batches[honoured.pe_index].push_back(std::move(next));
-          count(hot_.reservation_hits);
-          continue;
-        }
-        if (honoured.outcome == sched::Honoured::Outcome::kStale) {
-          count("sched.reservation_stale");
-        }
-      }
-      impl_->push_ready(std::move(next));
-    }
   }
   batch.clear();
-  impl_->avail_lead_s.store(policy.avail_lead(now()),
-                            std::memory_order_relaxed);
-  {
-    std::lock_guard lock(impl_->app_mutex);
-    impl_->runtime_overhead += overhead.elapsed();
+
+  // --- Pass 3: stamp the released tasks, then honour or queue each. --------
+  const double t_release = now();
+  for (auto& next : released) {
+    next->enqueue_time = t_release;
+    next->first_enqueue_time = t_release;
+    tracer_.flow(obs::EventKind::kFlowBegin, obs::Category::kApp,
+                 next->name.c_str(), 1 + next->app_instance_id, 0, t_release,
+                 next->key);
+    // Honour a fresh lookahead reservation: the task bypasses the ready
+    // queue into the round's dispatch batch for its reserved PE (no
+    // re-decision). Otherwise — or when it has gone stale — it takes the
+    // normal ready path and the next round re-decides it.
+    if (lookahead_ != nullptr) {
+      const sched::Honoured honoured = policy.honour(Impl::reservation_key(
+          next->app_instance_id, next->dag_task_index));
+      if (honoured.outcome == sched::Honoured::Outcome::kHit) {
+        next->booked_s = honoured.estimate_s;
+        tracer_.flow(obs::EventKind::kFlowStep, obs::Category::kSched,
+                     "dispatch_reserved", 0, 0, t_release, next->key);
+        if (out.batches.empty()) out.batches.resize(impl_->workers.size());
+        out.batches[honoured.pe_index].push_back(std::move(next));
+        count(hot_.reservation_hits);
+        continue;
+      }
+      if (honoured.outcome == sched::Honoured::Outcome::kStale) {
+        count("sched.reservation_stale");
+      }
+    }
+    impl_->push_ready(std::move(next));
   }
+  released.clear();
+  impl_->avail_lead_s.store(policy.avail_lead(t_release),
+                            std::memory_order_relaxed);
+  impl_->runtime_overhead.fetch_add(overhead.elapsed(),
+                                    std::memory_order_relaxed);
   if (!retired.empty()) impl_->recycle_instances(retired);
 }
 

@@ -167,6 +167,8 @@ Runtime::Runtime(RuntimeConfig config)
   // histogram (docs/observability.md); metrics_ outlives impl_.
   impl_ = std::make_unique<Impl>(&metrics_.histogram("sched_lock_wait_us"),
                                  config_);
+  round_hold_us_ = &metrics_.histogram("sched_round_hold_us");
+  batch_per_round_ = &metrics_.histogram("sched_batch_per_round");
 }
 
 Runtime::~Runtime() {
@@ -195,8 +197,7 @@ std::uint64_t Runtime::completed_apps() const noexcept {
 }
 
 double Runtime::runtime_overhead_s() const noexcept {
-  std::lock_guard lock(impl_->app_mutex);
-  return impl_->runtime_overhead;
+  return impl_->runtime_overhead.load(std::memory_order_relaxed);
 }
 
 std::vector<PeHealth> Runtime::pe_health() const {

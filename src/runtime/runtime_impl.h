@@ -11,8 +11,10 @@
 //                          (drive_rounds), by the publishers and by the
 //                          main loop's tick
 //   Level 0  app_mutex     application lifecycle: apps map, instance ids,
-//                          accepting/started flags, runtime_overhead,
-//                          app_done_cv predicates
+//                          accepting/started flags, app_done_cv
+//                          predicates. The round owner takes it once per
+//                          round for the drained batch's bookkeeping
+//                          (successor release, finish, retire)
 //   Level 1  health_mutex  per-PE fault-tolerance state inside the policy
 //                          engine (quarantine, probe windows, consecutive
 //                          faults): the round owner takes it to change PE
@@ -249,8 +251,16 @@ struct Runtime::RoundHandoff {
   /// Dispatch batches by PE index (sized on first use): one mailbox push
   /// and one wakeup per worker per round.
   std::vector<std::vector<std::shared_ptr<InFlightTask>>> batches;
+  /// The round's finished and retry-deferred tasks. Usually the last
+  /// reference, so clearing it tears them down (impl closures, the arena
+  /// free): done by hand_off, outside the round.
+  std::vector<std::shared_ptr<InFlightTask>> finished;
   /// An application finished: wake app_done_cv.
   bool app_finished = false;
+  /// Completion records the round drained, and its round_mutex hold, for
+  /// the sched_batch_per_round / sched_round_hold_us histograms.
+  std::size_t records = 0;
+  double hold_us = 0.0;
 };
 
 /// Emulated accelerator devices owned by one worker.
@@ -343,7 +353,8 @@ struct Runtime::Impl {
   /// the main loop's reaper (reap_app_threads).
   std::vector<std::uint64_t> exited_app_threads;
   std::uint64_t next_instance_id = 1;  ///< app_mutex
-  double runtime_overhead = 0.0;       ///< app_mutex
+  /// Management time: submissions and completion processing add to it.
+  std::atomic<double> runtime_overhead{0.0};
 
   // --- Round ownership (above Level 0). ------------------------------------
   std::mutex round_mutex;
@@ -459,6 +470,9 @@ struct Runtime::Impl {
   /// capacity goes back to it at the next swap).
   std::vector<CompletionRecord> drained_completions;
   std::vector<std::shared_ptr<InFlightTask>> drained_arrivals;
+  /// Successors a round's completions released, in record order: built
+  /// under app_mutex, stamped and queued after it (process_completions).
+  std::vector<std::shared_ptr<InFlightTask>> released;
   /// Under fault injection a non-empty ready queue can be legitimately
   /// undispatchable (every capable PE quarantined, a probe already in
   /// flight, all retries backing off). Re-running the heuristic before

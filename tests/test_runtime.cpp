@@ -704,41 +704,48 @@ TEST(RuntimeOwner, ApiAppFinishesAtItsLastNonBlockingCompletion) {
   EXPECT_TRUE(runtime.shutdown().ok());
 }
 
-TEST(RuntimeOwner, ConcurrentPublishersUnderTransientFaults) {
-  // Submitters, API app threads and workers all publish while a tenth of
-  // the attempts fail and are retried on a backoff that only the tick
-  // releases. Every instance completes, and every attempt is accounted
-  // for: one per task plus one per retry.
+/// The transient-fault publisher load: a tenth of the attempts fail and
+/// are retried on a backoff that only the tick releases.
+RuntimeConfig faulty_config() {
   RuntimeConfig config = small_config();
   config.fault_plan.seed = 33;
   config.fault_plan.defaults.fail_prob = 0.1;
   config.fault_plan.policy.max_retries = 8;
-  Runtime runtime(config);
-  ASSERT_TRUE(runtime.start().ok());
-  constexpr int kApps = 3;
-  constexpr int kCalls = 40;
-  constexpr std::size_t kChainTasks = 4;
-  constexpr int kSubmitters = 2;
-  constexpr int kBatches = 20;
-  constexpr std::size_t kBatch = 5;
-  std::atomic<int> calls_ok{0};
-  for (int a = 0; a < kApps; ++a) {
+  return config;
+}
+constexpr int kFaultApps = 3;
+constexpr int kFaultCalls = 40;
+constexpr std::size_t kFaultChainTasks = 4;
+constexpr int kFaultSubmitters = 2;
+constexpr int kFaultBatches = 20;
+constexpr std::size_t kFaultBatch = 5;
+constexpr std::uint64_t kFaultInstances =
+    kFaultApps + kFaultSubmitters * kFaultBatches * kFaultBatch;
+constexpr std::uint64_t kFaultTasks =
+    kFaultApps * kFaultCalls +
+    kFaultSubmitters * kFaultBatches * kFaultBatch * kFaultChainTasks;
+
+/// Submitters, API app threads and workers all publish at once: starts the
+/// API apps, joins the DAG submitters, then waits for every instance.
+/// Counts the successful API calls in `calls_ok`.
+void publish_under_faults(Runtime& runtime, std::atomic<int>& calls_ok) {
+  for (int a = 0; a < kFaultApps; ++a) {
     ASSERT_TRUE(runtime
                     .submit_api("app" + std::to_string(a),
-                                fft_calls(kCalls, calls_ok))
+                                fft_calls(kFaultCalls, calls_ok))
                     .ok());
   }
-  const auto chain = nop_chain(kChainTasks);
+  const auto chain = nop_chain(kFaultChainTasks);
   // CPU-only implementations: failed-class narrowing must not steer an
   // unconstrained GENERIC task onto the FFT class, which cannot run it.
-  const std::vector<api::ImplArray> cpu_impls(kChainTasks,
+  const std::vector<api::ImplArray> cpu_impls(kFaultChainTasks,
                                               api::make_generic_impls({}));
   std::vector<std::thread> submitters;
-  for (int s = 0; s < kSubmitters; ++s) {
+  for (int s = 0; s < kFaultSubmitters; ++s) {
     submitters.emplace_back([&runtime, &chain, &cpu_impls] {
-      for (int b = 0; b < kBatches; ++b) {
+      for (int b = 0; b < kFaultBatches; ++b) {
         std::vector<DagSubmission> batch(
-            kBatch, DagSubmission{.descriptor = chain, .impls = cpu_impls});
+            kFaultBatch, DagSubmission{.descriptor = chain, .impls = cpu_impls});
         for (const auto& result : runtime.submit_dag_batch(std::move(batch))) {
           EXPECT_TRUE(result.ok());
         }
@@ -747,18 +754,77 @@ TEST(RuntimeOwner, ConcurrentPublishersUnderTransientFaults) {
   }
   for (std::thread& t : submitters) t.join();
   ASSERT_TRUE(runtime.wait_all(60.0).ok());
+}
+
+TEST(RuntimeOwner, ConcurrentPublishersUnderTransientFaults) {
+  // Every instance completes, and every attempt is accounted for: one per
+  // task plus one per retry.
+  Runtime runtime(faulty_config());
+  ASSERT_TRUE(runtime.start().ok());
+  std::atomic<int> calls_ok{0};
+  publish_under_faults(runtime, calls_ok);
   EXPECT_TRUE(runtime.shutdown().ok());
-  constexpr std::uint64_t kInstances = kApps + kSubmitters * kBatches * kBatch;
-  constexpr std::uint64_t kTasks =
-      kApps * kCalls + kSubmitters * kBatches * kBatch * kChainTasks;
-  EXPECT_EQ(runtime.completed_apps(), kInstances);
-  EXPECT_EQ(calls_ok.load(), kApps * kCalls);
+  EXPECT_EQ(runtime.completed_apps(), kFaultInstances);
+  EXPECT_EQ(calls_ok.load(), kFaultApps * kFaultCalls);
   EXPECT_EQ(runtime.counters().get("tasks_failed"), 0u);
   EXPECT_GT(runtime.counters().get("tasks_retried"), 0u);
   EXPECT_EQ(runtime.counters().get("tasks_executed"),
-            kTasks + runtime.counters().get("tasks_retried"));
+            kFaultTasks + runtime.counters().get("tasks_retried"));
   EXPECT_EQ(runtime.stats().tasks_executed,
             runtime.counters().get("tasks_executed"));
+}
+
+TEST(RuntimeOwner, EveryCompletionIsDrainedByExactlyOneRound) {
+  // Each attempt, failed or not, leaves one completion record, and each
+  // owned round that drains records counts them once in
+  // sched_batch_per_round: a record lost between inbox and round, or
+  // drained twice, shows as a sum off tasks_executed.
+  Runtime runtime(faulty_config());
+  ASSERT_TRUE(runtime.start().ok());
+  std::atomic<int> calls_ok{0};
+  publish_under_faults(runtime, calls_ok);
+  EXPECT_TRUE(runtime.shutdown().ok());
+  const std::uint64_t executed = runtime.counters().get("tasks_executed");
+  EXPECT_GT(runtime.counters().get("tasks_retried"), 0u);
+  const obs::QuantileHistogram& batches =
+      runtime.metrics().histogram("sched_batch_per_round");
+  EXPECT_EQ(batches.sum(), static_cast<double>(executed));
+  EXPECT_GT(batches.count(), 0u);
+  EXPECT_LE(batches.count(), executed);
+  EXPECT_GE(runtime.metrics().histogram("sched_round_hold_us").count(),
+            batches.count());
+}
+
+TEST(RuntimeOwner, FinishedTasksAreReleasedBeforeShutdown) {
+  // A finished task is torn down by the hand-off of the round that
+  // processed it, and its impl closures with it. A task kept past that (in
+  // a list carried across rounds, say) would pin what its closures capture
+  // until some later round: with a 30 s period, none comes before
+  // shutdown.
+  RuntimeConfig config = small_config();
+  config.scheduler_period_s = 30.0;
+  Runtime runtime(config);
+  ASSERT_TRUE(runtime.start().ok());
+  constexpr std::size_t kChainTasks = 4;
+  std::weak_ptr<int> watch;
+  {
+    const auto sentinel = std::make_shared<int>(0);
+    watch = sentinel;
+    std::vector<api::ImplArray> impls(
+        kChainTasks, api::make_generic_impls([sentinel] { (void)sentinel; }));
+    ASSERT_TRUE(runtime
+                    .submit_dag(DagSubmission{
+                        .descriptor = nop_chain(kChainTasks),
+                        .impls = std::move(impls)})
+                    .ok());
+  }
+  ASSERT_TRUE(runtime.wait_all(5.0).ok());
+  for (int i = 0; i < 1000 && !watch.expired(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(watch.expired())
+      << watch.use_count() << " references outlived the finished instance";
+  EXPECT_TRUE(runtime.shutdown().ok());
 }
 
 TEST(RuntimeOwner, ImplLessChainsSurviveCpuFaults) {
